@@ -14,9 +14,10 @@ together with the acuity they were evaluated at.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .acuity import (
     CONSTANT_FOVEA,
@@ -57,6 +58,9 @@ class ClassifierConfig:
     full_gaze_range: float = 25.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if not 0 < self.class4_bound < self.class3_bound < self.full_gaze_range:
             raise ValueError(
                 "gaze-class bounds must satisfy 0 < class4 < class3 < full range, got "

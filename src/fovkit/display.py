@@ -11,16 +11,22 @@ profile under a gaze offset scores non-tracking content along the radial
 direction that loses the most resolution, which for these monotone profiles
 is the direction away from the display centre.
 
-Everything here is immutable and pure; profiles may be evaluated from any
-number of threads concurrently.
+Everything here is immutable.  The on-axis pieces of each tier do not depend
+on gaze, so they are memoised for the most recent spec only, in a
+single-entry ``functools.lru_cache`` of read-only arrays and tuples.  Equal
+specs have equal pieces, so the memo changes no result, and the cache is
+thread-safe: the module stays pure, and profiles may be built and evaluated
+from any number of threads concurrently.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING
+from functools import cached_property, lru_cache
+from itertools import combinations
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -37,6 +43,10 @@ DEGRADATION_KINDS = (DEGRADATION_NONE, DEGRADATION_PIECEWISE_LINEAR)
 _PRODUCT_SUBDIV_DEG = 0.01
 
 _KNOT_EPS = 1e-12
+# Below this many tier pieces, composing panel by panel in Python costs less
+# than the fixed overhead of the array path's numpy calls; on a two-tier
+# inset under lens falloff the two break even at 12-16 pieces.
+_ARRAY_MIN_PIECES = 16
 
 
 class DisplaySpecError(ValueError):
@@ -55,7 +65,10 @@ class Tier:
 
     def __post_init__(self):
         for name in ("resolution_cpd", "half_fov_deg", "steer_range_deg", "blend_width_deg"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise DisplaySpecError(f"tier {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if not self.resolution_cpd > 0:
             raise DisplaySpecError(f"tier resolution must be > 0, got {self.resolution_cpd!r}")
         if not self.half_fov_deg > 0:
@@ -89,6 +102,9 @@ class OffAxisDegradation:
         object.__setattr__(
             self, "breakpoints", tuple((float(e), float(m)) for e, m in self.breakpoints)
         )
+        for point in self.breakpoints:
+            if not all(map(math.isfinite, point)):
+                raise DisplaySpecError(f"degradation breakpoints must be finite, got {point!r}")
         if self.kind not in DEGRADATION_KINDS:
             raise DisplaySpecError(
                 f"unknown degradation kind {self.kind!r}, expected one of {DEGRADATION_KINDS}"
@@ -273,17 +289,67 @@ def _apply_degradation(
     return out
 
 
-def _shift_left(segs: list[ProfileSegment], offset: float) -> list[ProfileSegment]:
+class _Pieces(NamedTuple):
+    """The on-axis, degraded pieces of every tier."""
+
+    rows: np.ndarray  # all pieces as the columns of a 4 x n array, tier after tier
+    tier: np.ndarray  # the tier of each column of ``rows``
+    # Per tier, its pieces as (start, end, value_start, value_end) tuples for
+    # the panel loop; None when there are too many pieces for that loop.
+    segments: tuple[tuple[tuple], ...] | None
+
+
+@lru_cache(maxsize=1)
+def _tier_pieces(spec: DisplaySpec) -> _Pieces:
+    """The tiers' pieces do not depend on gaze, so a gaze scan builds them once.
+
+    Only the most recent spec is kept: a per-spec cache would hold every
+    chord of every design a sweep visits.  The arrays are read-only.
+    """
+    segments = []
+    for i, tier in enumerate(spec.tiers):
+        floor = spec.tiers[i + 1].resolution_cpd if i + 1 < len(spec.tiers) else 0.0
+        segs = _apply_degradation(_tier_segments(tier, floor), spec.degradation)
+        segments.append(
+            tuple((s.start, s.end, float(s.value_start), float(s.value_end)) for s in segs)
+        )
+    flat = [s for segs in segments for s in segs]
+    rows = np.array(flat, dtype=float).reshape(-1, 4).T.copy()
+    tier = np.repeat(np.arange(len(segments)), [len(segs) for segs in segments])
+    rows.flags.writeable = tier.flags.writeable = False
+    return _Pieces(rows, tier, tuple(segments) if len(tier) < _ARRAY_MIN_PIECES else None)
+
+
+def _value_at(start, end, v0, v1, x):
+    """:meth:`ProfileSegment.value_at` over arrays, with the same arithmetic."""
+    span = end - start
+    t = (x - start) / np.where(span == 0, 1.0, span)
+    return np.where(span == 0, v0, v0 + t * (v1 - v0))
+
+
+def _shift_left(segs: list[tuple], offset: float) -> list[tuple]:
     """Worst-case view of fixed content from a gaze offset: shift toward 0."""
     if offset <= 0:
         return segs
     out = []
-    for s in segs:
-        if s.end - offset <= _KNOT_EPS:
+    for start, end, v0, v1 in segs:
+        if end - offset <= _KNOT_EPS:
             continue
-        a = max(s.start, offset)
-        out.append(ProfileSegment(a - offset, s.end - offset, s.value_at(a), s.value_end))
+        a = max(start, offset)
+        va = v0 if end == start else v0 + (a - start) / (end - start) * (v1 - v0)
+        out.append((a - offset, end - offset, va, v1))
     return out
+
+
+def _shift_left_array(rows: np.ndarray, tier: np.ndarray, offsets: np.ndarray):
+    """:func:`_shift_left` of every tier at once; ``offsets`` has one per tier."""
+    off = offsets[tier]
+    keep = (off <= 0) | (rows[1] - off > _KNOT_EPS)
+    if not keep.all():
+        rows, tier, off = rows[:, keep], tier[keep], off[keep]
+    start, end, v0, v1 = rows
+    a = np.maximum(start, off)
+    return np.array([a - off, end - off, _value_at(start, end, v0, v1, a), v1]), tier
 
 
 def _dedup_sorted(values) -> list[float]:
@@ -294,75 +360,135 @@ def _dedup_sorted(values) -> list[float]:
     return out
 
 
-class _SegmentIndex:
-    """Fast lookup of the segment covering a panel."""
+def _split_panel(x0: float, x1: float, lines: list[tuple[float, float]]) -> list[tuple]:
+    """Maximum of the lines on one panel, cut where two of them cross."""
+    cuts = {x0, x1}
+    span = x1 - x0
+    for i in range(len(lines)):
+        a0, a1 = lines[i]
+        for j in range(i + 1, len(lines)):
+            b0, b1 = lines[j]
+            d0, d1 = a0 - b0, a1 - b1
+            if d0 == d1 or d0 * d1 >= 0:
+                continue  # parallel or no sign change: no interior crossing
+            xc = x0 + span * d0 / (d0 - d1)
+            if x0 + _KNOT_EPS < xc < x1 - _KNOT_EPS:
+                cuts.add(xc)
+    sub = _dedup_sorted(sorted(cuts))
+    out = []
+    for u0, u1 in zip(sub, sub[1:]):
+        v0 = max(max(a + (b - a) * (u0 - x0) / span for a, b in lines), 0.0)
+        v1 = max(max(a + (b - a) * (u1 - x0) / span for a, b in lines), 0.0)
+        out.append((u0, u1, v0, v1))
+    return out
 
-    def __init__(self, segs: list[ProfileSegment]):
-        self.segs = segs
-        self.ends = np.array([s.end for s in segs]) if segs else np.empty(0)
 
-    def line_on(self, x0: float, x1: float) -> tuple[float, float]:
-        """Endpoint values of this contribution on panel [x0, x1] (0 if uncovered)."""
-        if len(self.segs) == 0:
-            return 0.0, 0.0
-        mid = 0.5 * (x0 + x1)
-        i = int(np.searchsorted(self.ends, mid, side="left"))
-        if i >= len(self.segs):
-            return 0.0, 0.0
-        s = self.segs[i]
-        if not (s.start - _KNOT_EPS <= mid <= s.end + _KNOT_EPS):
-            return 0.0, 0.0
-        return s.value_at(x0), s.value_at(x1)
+def _compose_max(contributions: list[list[tuple]]) -> list[tuple]:
+    """Pointwise maximum of piecewise-linear contributions, exactly.
 
-
-def _compose_max(contributions: list[list[ProfileSegment]]) -> tuple[ProfileSegment, ...]:
-    """Pointwise maximum of piecewise-linear contributions, exactly."""
+    The knots of all contributions cut the axis into panels, on each of
+    which every contribution is one line (0 where it does not reach).
+    Returns the (start, end, v0, v1) segments of the maximum.
+    """
     knots = {0.0}
     for segs in contributions:
         for s in segs:
-            knots.add(s.start)
-            knots.add(s.end)
+            knots.add(s[0])
+            knots.add(s[1])
     xs = _dedup_sorted(sorted(knots))
-    indexes = [_SegmentIndex(segs) for segs in contributions]
-
-    out: list[ProfileSegment] = []
+    ends = [[s[1] for s in segs] for segs in contributions]
+    out = []
     for x0, x1 in zip(xs, xs[1:]):
-        lines = [ix.line_on(x0, x1) for ix in indexes]
-        cuts = {x0, x1}
-        span = x1 - x0
-        for i in range(len(lines)):
-            a0, a1 = lines[i]
-            for j in range(i + 1, len(lines)):
-                b0, b1 = lines[j]
-                d0, d1 = a0 - b0, a1 - b1
-                if d0 == d1 or d0 * d1 >= 0:
-                    continue  # parallel or no sign change: no interior crossing
-                xc = x0 + span * d0 / (d0 - d1)
-                if x0 + _KNOT_EPS < xc < x1 - _KNOT_EPS:
-                    cuts.add(xc)
-        sub = _dedup_sorted(sorted(cuts))
-        for u0, u1 in zip(sub, sub[1:]):
-            v0 = max(max(a + (b - a) * (u0 - x0) / span for a, b in lines), 0.0)
-            v1 = max(max(a + (b - a) * (u1 - x0) / span for a, b in lines), 0.0)
-            out.append(ProfileSegment(u0, u1, v0, v1))
-    return tuple(out)
+        mid = 0.5 * (x0 + x1)
+        lines = []
+        for segs, seg_ends in zip(contributions, ends):
+            i = bisect_left(seg_ends, mid)
+            if i < len(segs) and segs[i][0] - _KNOT_EPS <= mid <= segs[i][1] + _KNOT_EPS:
+                start, end, v0, v1 = segs[i]
+                if end == start:
+                    lines.append((v0, v0))
+                else:
+                    span = end - start
+                    lines.append((
+                        v0 + (x0 - start) / span * (v1 - v0),
+                        v0 + (x1 - start) / span * (v1 - v0),
+                    ))
+            else:
+                lines.append((0.0, 0.0))
+        out += _split_panel(x0, x1, lines)
+    return out
 
 
-def _merge_collinear(segs: tuple[ProfileSegment, ...]) -> tuple[ProfileSegment, ...]:
-    merged: list[ProfileSegment] = []
-    for s in segs:
+def _compose_max_array(rows: np.ndarray, tier: np.ndarray) -> list[tuple]:
+    """:func:`_compose_max` over all panels at once, for many pieces.
+
+    A panel where two lines cross is handed to :func:`_split_panel`; every
+    other panel is one segment, computed here with the arithmetic of
+    :func:`_split_panel`.
+    """
+    start, end, v0, v1 = rows
+    xs = np.unique(np.concatenate(([0.0], start, end)))
+    if not (np.diff(xs) > _KNOT_EPS).all():
+        xs = np.array(_dedup_sorted(xs.tolist()))
+    x0, x1 = xs[:-1], xs[1:]
+    mid = 0.5 * (x0 + x1)
+    span = x1 - x0
+
+    # Each tier's line on each panel comes from its first piece ending at or
+    # after the panel's midpoint.
+    idx, last = [], []
+    lo = 0
+    for n in np.bincount(tier).tolist():
+        if n:
+            idx.append(end[lo : lo + n].searchsorted(mid) + lo)
+            last.append([lo + n])
+            lo += n
+    idx, last = np.array(idx), np.array(last)
+    s, e, a, b = rows[:, np.minimum(idx, last - 1)]
+    covered = (idx < last) & (s - _KNOT_EPS <= mid) & (mid <= e + _KNOT_EPS)
+    lines = np.where(  # tier x {x0, x1} x panel
+        covered[:, None],
+        _value_at(s[:, None], e[:, None], a[:, None], b[:, None], np.array((x0, x1))),
+        0.0,
+    )
+
+    crossed = []
+    if len(lines) > 1:
+        pi, pj = (list(p) for p in zip(*combinations(range(len(lines)), 2)))
+        d = lines[pi] - lines[pj]
+        d0, d1 = d[:, 0], d[:, 1]
+        pair, k = ((d0 != d1) & (d0 * d1 < 0)).nonzero()
+        if len(k):
+            xc = x0[k] + span[k] * d0[pair, k] / (d0[pair, k] - d1[pair, k])
+            crossed = np.unique(k[(x0[k] + _KNOT_EPS < xc) & (xc < x1[k] - _KNOT_EPS)]).tolist()
+
+    values = lines[:, :1] + (lines[:, 1:] - lines[:, :1]) * np.array((x0 - x0, x1 - x0)) / span
+    top = values[0]
+    for v in values[1:]:
+        top = np.where(v > top, v, top)
+    top = np.where(0.0 > top, 0.0, top)
+
+    out = list(zip(x0.tolist(), x1.tolist(), *top.tolist()))
+    for p in reversed(crossed):
+        out[p : p + 1] = _split_panel(out[p][0], out[p][1], lines[:, :, p].tolist())
+    return out
+
+
+def _merge_collinear(rows: list[tuple]) -> tuple[ProfileSegment, ...]:
+    merged: list[tuple] = []
+    for s in rows:
         if merged:
             p = merged[-1]
-            p_slope = (p.value_end - p.value_start) / (p.end - p.start)
-            s_slope = (s.value_end - s.value_start) / (s.end - s.start)
+            p_slope = (p[3] - p[2]) / (p[1] - p[0])
+            s_slope = (s[3] - s[2]) / (s[1] - s[0])
             if (
-                abs(p.value_end - s.value_start) <= 1e-9 * max(1.0, abs(p.value_end))
+                abs(p[3] - s[2]) <= 1e-9 * max(1.0, abs(p[3]))
                 and abs(p_slope - s_slope) <= 1e-9 * max(1.0, abs(p_slope))
             ):
-                merged[-1] = ProfileSegment(p.start, s.end, p.value_start, s.value_end)
+                merged[-1] = (p[0], s[1], p[2], s[3])
                 continue
         merged.append(s)
-    return tuple(merged)
+    return tuple(ProfileSegment(*r) for r in merged)
 
 
 def perceived_profile(spec: DisplaySpec, gaze_deg: float) -> ResolutionProfile:
@@ -375,18 +501,17 @@ def perceived_profile(spec: DisplaySpec, gaze_deg: float) -> ResolutionProfile:
     Negative gaze is folded to positive by radial symmetry.
     """
     g = abs(float(gaze_deg))
-    contributions = []
-    for i, tier in enumerate(spec.tiers):
-        floor = spec.tiers[i + 1].resolution_cpd if i + 1 < len(spec.tiers) else 0.0
-        segs = _tier_segments(tier, floor)
-        segs = _apply_degradation(segs, spec.degradation)
-        offset = max(0.0, g - tier.steer_range_deg) if tier.steerable else g
-        segs = _shift_left(segs, offset)
-        if segs:
-            contributions.append(segs)
-    if not contributions:
+    pieces = _tier_pieces(spec)
+    offsets = [max(0.0, g - t.steer_range_deg) if t.steerable else g for t in spec.tiers]
+    if pieces.segments is not None:
+        contributions = [segs for segs in map(_shift_left, pieces.segments, offsets) if segs]
+        segments = _compose_max(contributions) if contributions else []
+    else:
+        rows, tier = _shift_left_array(pieces.rows, pieces.tier, np.array(offsets))
+        segments = _compose_max_array(rows, tier) if len(tier) else []
+    if not segments:
         return ResolutionProfile(())
-    return ResolutionProfile(_merge_collinear(_compose_max(contributions)))
+    return ResolutionProfile(_merge_collinear(segments))
 
 
 def build_rdf(spec: DisplaySpec) -> ResolutionProfile:
@@ -413,19 +538,28 @@ def gaze_invariance_range(
     steps = int(math.floor(cfg.full_gaze_range / cfg.gaze_scan_step + 1e-9))
     if steps == 0:  # scan step wider than the whole range: nothing verified
         return 0.0
+
+    def knots(profile: ResolutionProfile) -> np.ndarray:
+        k = np.asarray(profile.breakpoints(), dtype=float)
+        return k[(0.0 < k) & (k < cfg.invariance_extent)]
+
+    # Each step compares the two clamped profiles on the grid plus the knots
+    # of both.  The grid, the straight-ahead knots and the straight-ahead
+    # values there are fixed, so only the current profile's knots are new.
+    fixed = np.concatenate([grid, knots(base)])
+    fixed_acuity = adf.eval_many(fixed)
+    fixed_base = np.minimum(base.eval_many(fixed), fixed_acuity)
     reached = 0.0
     for i in range(1, steps + 1):
         g = i * cfg.gaze_scan_step
         current = perceived_profile(spec, g)
-        knots = [
-            k
-            for k in (*base.breakpoints(), *current.breakpoints())
-            if 0.0 < k < cfg.invariance_extent
-        ]
-        xs = np.unique(np.concatenate([grid, np.asarray(knots)])) if knots else grid
-        acuity = adf.eval_many(xs)
-        base_clamped = np.minimum(base.eval_many(xs), acuity)
-        cur_clamped = np.minimum(current.eval_many(xs), acuity)
+        extra = knots(current)
+        extra_acuity = adf.eval_many(extra)
+        acuity = np.concatenate([fixed_acuity, extra_acuity])
+        base_clamped = np.concatenate(
+            [fixed_base, np.minimum(base.eval_many(extra), extra_acuity)]
+        )
+        cur_clamped = np.minimum(current.eval_many(np.concatenate([fixed, extra])), acuity)
         if float(np.max(np.abs(cur_clamped - base_clamped))) > cfg.noticeability_tol:
             return reached
         reached = g

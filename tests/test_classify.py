@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import pytest
@@ -41,6 +43,14 @@ def test_config_rejects_bad_bounds():
         ClassifierConfig(noticeability_tol=-0.1)
     with pytest.raises(ValueError):
         ClassifierConfig(gaze_scan_step=0.0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ClassifierConfig)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(name, value):
+    # A NaN tolerance would make every comparison of the gaze scan false.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ClassifierConfig(**{name: value})
 
 
 class TestResolutionClass:

@@ -233,6 +233,15 @@ class TestClassify:
         assert code == 1
         assert "/nope/missing.spec.json" in err
 
+    def test_non_finite_threshold_is_a_domain_error(self, capsys):
+        # NaN would otherwise pass every check and grade kim B1 instead of B2.
+        code, out, err = run_cli(
+            capsys, "classify", "--acuity", "20/20", "--spec", "kim", "--noticeability-tol", "nan"
+        )
+        assert code == 1
+        assert out == ""
+        assert "noticeability_tol must be finite" in err
+
     def test_output_is_deterministic(self, capsys):
         runs = []
         for _ in range(2):

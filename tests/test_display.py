@@ -1,6 +1,11 @@
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from fovkit import display
 from fovkit import (
     ClassifierConfig,
     DisplaySpec,
@@ -11,8 +16,10 @@ from fovkit import (
     gaze_invariance_range,
     load_bundled_spec,
     make_adf,
+    parse_display_spec,
     perceived_profile,
     rdf_eval,
+    serialize_display_spec,
 )
 
 
@@ -43,6 +50,15 @@ class TestInvariants:
             Tier(resolution_cpd=5.0, half_fov_deg=10.0, steerable=True, steer_range_deg=0.0)
         with pytest.raises(DisplaySpecError, match="steer"):
             Tier(resolution_cpd=5.0, half_fov_deg=10.0, steerable=False, steer_range_deg=5.0)
+
+    @pytest.mark.parametrize(
+        "field", ["resolution_cpd", "half_fov_deg", "steer_range_deg", "blend_width_deg"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_tier_rejects_non_finite_values(self, field, value):
+        kw = dict(resolution_cpd=5.0, half_fov_deg=10.0, steerable=field == "steer_range_deg")
+        with pytest.raises(DisplaySpecError, match=f"{field} must be finite"):
+            Tier(**{**kw, field: value})
 
     def test_spec_needs_tiers(self):
         with pytest.raises(DisplaySpecError, match="at least one tier"):
@@ -90,6 +106,13 @@ class TestInvariants:
             )
         with pytest.raises(DisplaySpecError, match="no breakpoints"):
             OffAxisDegradation(kind="none", breakpoints=((0.0, 1.0),))
+
+    @pytest.mark.parametrize(
+        "point", [(math.nan, 0.5), (math.inf, 0.5), (20.0, math.nan), (20.0, -math.inf)]
+    )
+    def test_degradation_rejects_non_finite_breakpoints(self, point):
+        with pytest.raises(DisplaySpecError, match="must be finite"):
+            OffAxisDegradation(kind="piecewise-linear", breakpoints=((0.0, 1.0), point))
 
 
 class TestBuildRdf:
@@ -205,3 +228,131 @@ class TestGazeInvariance:
         cfg = ClassifierConfig()
         adf = make_adf("constant-fovea", "20/20")
         assert gaze_invariance_range(load_bundled_spec("hololens"), adf, cfg) == 0.0
+
+
+ACUITIES = ("20/10", "20/15", "20/20", "20/30", "20/40", "20/80", "20/200")
+# Reach of the gaze scan per bundled spec at ACUITIES, recorded from a scan
+# that rebuilt every tier piece and evaluated the whole grid at each step.
+# Compared float for float: a faster scan must check the same points.
+GOLDEN_REACH = {
+    "hololens": (0.0,) * 7,
+    "kim": (18.0,) * 6 + (25.0,),
+    "uniform_30cpd_80deg": (25.0,) * 7,
+    "varjo_vr1": (5.1000000000000005, 5.800000000000001, 6.4, 7.6000000000000005, 8.9, 13.9, 25.0),
+    "vive": (0.7000000000000001,) * 5 + (3.4000000000000004, 17.1),
+    "vive_pro": (0.5, 0.5, 0.5, 1.7000000000000002, 3.0, 8.0, 25.0),
+}
+# Sampled segments (start, end, value_start, value_end) of the blended inset
+# below, by gaze: the first two, the middle one and the last of 1,005.
+GOLDEN_INSET_SEGMENTS = {
+    0.0: {
+        0: (0.0, 6.0, 30.0, 29.8578),
+        1: (6.0, 6.01, 29.8578, 29.83487125212),
+        502: (11.01, 11.02, 17.229609911999997, 17.196589008),
+        1004: (40.0, 50.0, 1.8525599999999998, 1.48536),
+    },
+    0.7: {
+        0: (0.0, 5.3, 29.98341, 29.8578),
+        1: (5.3, 5.31, 29.8578, 29.83487125212),
+        502: (10.31, 10.32, 17.229609911999997, 17.196589008),
+        1004: (39.3, 49.3, 1.8525599999999998, 1.48536),
+    },
+    3.1: {
+        0: (0.0, 2.9, 29.92653, 29.8578),
+        1: (2.9, 2.9099999999999997, 29.8578, 29.83487125212),
+        502: (7.91, 7.92, 17.229609911999997, 17.196589008),
+        1004: (36.9, 46.9, 1.8525599999999998, 1.48536),
+    },
+}
+
+
+def blended_inset(blend=10.0):
+    """30 cpd to 16 deg blending into 7.2 cpd to 50 deg, under the vive_pro lens."""
+    return DisplaySpec(
+        name="inset",
+        tiers=(
+            Tier(resolution_cpd=30.0, half_fov_deg=16.0, blend_width_deg=blend),
+            Tier(resolution_cpd=7.2, half_fov_deg=50.0),
+        ),
+        degradation=load_bundled_spec("vive_pro").degradation,
+    )
+
+
+def test_scan_reach_and_inset_profile_are_pinned_float_for_float():
+    cfg = ClassifierConfig()
+    reach = {
+        name: tuple(
+            gaze_invariance_range(load_bundled_spec(name), make_adf("constant-fovea", a), cfg)
+            for a in ACUITIES
+        )
+        for name in GOLDEN_REACH
+    }
+    assert reach == GOLDEN_REACH
+    for gaze, samples in GOLDEN_INSET_SEGMENTS.items():
+        segments = perceived_profile(blended_inset(), gaze).segments
+        assert len(segments) == 1005
+        for i, expected in samples.items():
+            s = segments[i]
+            assert (s.start, s.end, s.value_start, s.value_end) == expected
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("varjo_vr1", "kim"),  # a few pieces each
+        (blended_inset(), blended_inset(blend=6.0)),  # hundreds of chords each
+    ],
+    ids=["few_pieces", "many_pieces"],
+)
+def test_tier_piece_memo_never_leaks_between_specs(a, b):
+    a = load_bundled_spec(a) if isinstance(a, str) else a
+    b = load_bundled_spec(b) if isinstance(b, str) else b
+    copy_of_a = parse_display_spec(serialize_display_spec(a))
+    assert copy_of_a == a and copy_of_a is not a
+    gazes = (0.0, 0.7, 3.1, 12.5)
+
+    def fresh(spec):
+        out = []
+        for g in gazes:
+            display._tier_pieces.cache_clear()
+            out.append(perceived_profile(spec, g))
+        return out
+
+    expected = {id(a): fresh(a), id(b): fresh(b), id(copy_of_a): fresh(a)}
+    assert expected[id(a)] != expected[id(b)]
+    display._tier_pieces.cache_clear()
+    for spec in (a, b, a, copy_of_a):
+        assert [perceived_profile(spec, g) for g in gazes] == expected[id(spec)]
+        assert display._tier_pieces.cache_info().currsize == 1
+
+
+def test_tier_piece_memo_is_safe_to_share_between_threads():
+    specs = [load_bundled_spec("varjo_vr1"), blended_inset(), load_bundled_spec("kim")]
+    gazes = (0.0, 3.1, 12.5)
+    expected = {}
+    for i, spec in enumerate(specs):
+        display._tier_pieces.cache_clear()
+        expected[i] = [perceived_profile(spec, g) for g in gazes]
+    mismatches, errors = [], []
+
+    def worker(offset):
+        try:
+            for k in range(12):
+                i = (k + offset) % len(specs)
+                if [perceived_profile(specs[i], g) for g in gazes] != expected[i]:
+                    mismatches.append(i)
+        except Exception as e:  # noqa: BLE001 - reported by the assertion below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and mismatches == []

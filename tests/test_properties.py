@@ -5,13 +5,16 @@ test_acceptance.py; these are the remaining structural invariants.
 """
 
 import dataclasses
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fovkit import display
 from fovkit import (
     GAZE_CLASSES,
     RESOLUTION_CLASSES,
@@ -153,3 +156,70 @@ def test_raising_the_profile_to_the_target_splits_cleanly(spec, fraction):
     assert pixel_waste(raised, adf, 0.0, edge) == pytest.approx(
         pixel_waste(rdf, adf, 0.0, edge), rel=1e-9, abs=1e-12
     )
+
+
+def _degraded_pieces(spec):
+    """Each tier's on-axis pieces, degraded, with the chords the model defines."""
+    pieces = []
+    for i, tier in enumerate(spec.tiers):
+        floor = spec.tiers[i + 1].resolution_cpd if i + 1 < len(spec.tiers) else 0.0
+        segs = display._apply_degradation(display._tier_segments(tier, floor), spec.degradation)
+        pieces.append(
+            np.array([(s.start, s.end, s.value_start, s.value_end) for s in segs]).reshape(-1, 4)
+        )
+    return pieces
+
+
+def _offsets(spec, gaze):
+    return [max(0.0, gaze - t.steer_range_deg) if t.steerable else gaze for t in spec.tiers]
+
+
+def _definition(pieces, offsets, xs):
+    """Perceived resolution by definition: the maximum over tiers of each
+    tier's degraded pieces shifted left by its gaze offset, floored at 0."""
+    out = np.zeros_like(xs)
+    for rows, offset in zip(pieces, offsets):
+        if not len(rows):
+            continue
+        start, end, v0, v1 = rows.T
+        y = xs + offset
+        j = np.minimum(np.searchsorted(end, y), len(end) - 1)
+        inside = (start[j] <= y) & (y <= end[j])
+        t = (y - start[j]) / np.where(end[j] > start[j], end[j] - start[j], 1.0)
+        out = np.where(inside, np.maximum(out, v0[j] + t * (v1[j] - v0[j])), out)
+    return out
+
+
+@given(display_specs(), st.floats(0.0, 25.0, **finite))
+@settings(max_examples=150, deadline=None)
+def test_perceived_profile_matches_its_definition(spec, gaze):
+    profile = perceived_profile(spec, gaze)
+    pieces, offsets = _degraded_pieces(spec), _offsets(spec, gaze)
+    knots = [0.0, *profile.breakpoints()]
+    for rows, offset in zip(pieces, offsets):
+        knots += [x - offset for x in rows[:, :2].ravel() if x >= offset]
+    knots = np.unique(knots)
+    xs = np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1])])
+    # Knots closer than 1e-12 deg are one knot to the composition, so the
+    # definition is read over that much eccentricity on either side.
+    eps = 1e-12
+    around = np.array(
+        [_definition(pieces, offsets, x) for x in (np.maximum(xs - eps, 0.0), xs, xs + eps)]
+    )
+    got = profile.eval_many(xs)
+    assert np.all(got >= around.min(axis=0) - 1e-12)
+    assert np.all(got <= around.max(axis=0) + 1e-12)
+
+
+@given(display_specs(), st.floats(0.0, 25.0, **finite))
+@settings(max_examples=150, deadline=None)
+def test_array_and_panel_loop_compositions_agree_exactly(spec, gaze):
+    """The memo records which composition a spec takes, so it is cleared."""
+    profiles = []
+    for threshold in (0, math.inf):
+        display._tier_pieces.cache_clear()
+        with mock.patch.object(display, "_ARRAY_MIN_PIECES", threshold):
+            profiles.append(perceived_profile(spec, gaze))
+    display._tier_pieces.cache_clear()
+    by_arrays, by_panels = profiles
+    assert by_arrays.segments == by_panels.segments
