@@ -14,8 +14,7 @@ from fovkit import (
     build_rdf,
     integrate,
     make_adf,
-    pixel_waste,
-    rdf_efficiency,
+    metrics_report,
     snellen_to_cpd,
 )
 
@@ -36,13 +35,10 @@ def main() -> None:
         spec = DisplaySpec(
             name="brute", tiers=(Tier(resolution_cpd=peak, half_fov_deg=edge),)
         )
-        rdf = build_rdf(spec)
-        cycles = integrate(rdf, 0.0, edge)
+        report = metrics_report(build_rdf(spec), adf)
         needed = integrate(adf, 0.0, edge)
-        waste = pixel_waste(rdf, adf, 0.0, edge)
-        eff = rdf_efficiency(rdf, adf, 0.0, edge)
-        print(f"{acuity:>7} {peak:>12.1f} {cycles:>9.1f} {needed:>9.1f} "
-              f"{waste:>9.1f} {eff:>10.1%}")
+        print(f"{acuity:>7} {peak:>12.1f} {report.cycle_count:>9.1f} {needed:>9.1f} "
+              f"{report.waste:>9.1f} {report.efficiency:>10.1%}")
 
 
 if __name__ == "__main__":

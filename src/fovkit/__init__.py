@@ -44,7 +44,6 @@ from .display import (
     build_rdf,
     gaze_invariance_range,
     perceived_profile,
-    rdf_eval,
 )
 from .metrics import (
     EfficiencyUndefinedError,

@@ -126,29 +126,23 @@ class AcuityModel:
     def __post_init__(self):
         if self.kind not in ADF_KINDS:
             raise ValueError(f"unknown acuity model kind {self.kind!r}, expected one of {ADF_KINDS}")
+        rolloff, other = ("rolloff_cpd_per_deg", "rolloff_per_deg")
+        if self.kind == SLOPE:
+            rolloff, other = other, rolloff
+        for name in ("foveal_cpd", "fovea_deg", "foveation_error_deg", rolloff, other):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.foveal_cpd > 0:
             raise ValueError(f"foveal_cpd must be > 0, got {self.foveal_cpd!r}")
-        if self.fovea_deg < 0:
-            raise ValueError(f"fovea_deg must be >= 0, got {self.fovea_deg!r}")
-        if self.foveation_error_deg < 0:
-            raise ValueError(
-                f"foveation_error_deg must be >= 0, got {self.foveation_error_deg!r}"
-            )
-        if self.kind == CONSTANT_FOVEA:
-            if self.rolloff_cpd_per_deg is None or not self.rolloff_cpd_per_deg > 0:
-                raise ValueError(
-                    "constant-fovea model requires rolloff_cpd_per_deg > 0, "
-                    f"got {self.rolloff_cpd_per_deg!r}"
-                )
-            if self.rolloff_per_deg is not None:
-                raise ValueError("constant-fovea model does not take rolloff_per_deg")
-        else:
-            if self.rolloff_per_deg is None or not self.rolloff_per_deg > 0:
-                raise ValueError(
-                    f"slope model requires rolloff_per_deg > 0, got {self.rolloff_per_deg!r}"
-                )
-            if self.rolloff_cpd_per_deg is not None:
-                raise ValueError("slope model does not take rolloff_cpd_per_deg")
+        for name in ("fovea_deg", "foveation_error_deg"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        value = getattr(self, rolloff)
+        if value is None or not value > 0:
+            raise ValueError(f"{self.kind} model requires {rolloff} > 0, got {value!r}")
+        if getattr(self, other) is not None:
+            raise ValueError(f"{self.kind} model does not take {other}")
 
     @property
     def plateau_end_deg(self) -> float:

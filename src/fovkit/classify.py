@@ -28,13 +28,16 @@ from .acuity import (
     _as_fraction,
 )
 from .display import DisplaySpec, build_rdf, gaze_invariance_range
-from .metrics import pixel_deficit
+from .metrics import MetricsReport, metrics_report
 
 RESOLUTION_CLASSES = ("A", "B", "C", "D")
 GAZE_CLASSES = (1, 2, 3, 4)
 
 # Acuity fractions considered practical for evaluating mass-market designs.
 PRACTICAL_ACUITY_RANGE = (0.5, 2.0)
+
+# Most gaze steps a config may ask the invariance scan for; the defaults ask for 250.
+MAX_GAZE_SCAN_STEPS = 100_000
 
 
 class AcuityRangeWarning(UserWarning):
@@ -72,6 +75,11 @@ class ClassifierConfig:
         for name in ("fovea_boundary", "periphery_start", "invariance_extent", "gaze_scan_step"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        steps = self.full_gaze_range / self.gaze_scan_step
+        if steps > MAX_GAZE_SCAN_STEPS:
+            raise ValueError(
+                f"gaze_scan_step implies {steps:.3g} scan steps, over {MAX_GAZE_SCAN_STEPS:,}"
+            )
         if self.min_full_field_half_angle < 0:
             raise ValueError(
                 f"min_full_field_half_angle must be >= 0, got {self.min_full_field_half_angle!r}"
@@ -80,18 +88,26 @@ class ClassifierConfig:
 
 @dataclass(frozen=True)
 class ResolutionEvidence:
-    foveal_deficit: float
-    peripheral_deficit: float
+    """The letter's inputs: metrics at the config's region boundaries, and the edge check."""
+
+    report: MetricsReport
     edge_artifact: bool
     foveal_match: bool
     peripheral_clean: bool
 
+    @property
+    def foveal_deficit(self) -> float:
+        return self.report.foveal_deficit
+
+    @property
+    def peripheral_deficit(self) -> float:
+        return self.report.peripheral_deficit
+
 
 @dataclass(frozen=True)
-class ClassificationEvidence:
-    foveal_deficit: float
-    peripheral_deficit: float
-    edge_artifact: bool
+class ClassificationEvidence(ResolutionEvidence):
+    """The letter grade's evidence plus the gaze-invariance range behind the digit."""
+
     gaze_invariance_range: float
 
 
@@ -107,22 +123,20 @@ class ClassificationResult:
 def resolution_class(
     spec: DisplaySpec, adf: AcuityModel, cfg: ClassifierConfig | None = None
 ) -> tuple[str, ResolutionEvidence]:
-    """Letter grade plus the deficits and edge check it was derived from."""
+    """Letter grade plus the metrics report and edge check it was derived from."""
     cfg = cfg or ClassifierConfig()
     rdf = build_rdf(spec)
-    edge = rdf.extent_deg
-    foveal_deficit = pixel_deficit(rdf, adf, 0.0, cfg.fovea_boundary)
-    peripheral_deficit = pixel_deficit(rdf, adf, min(cfg.periphery_start, edge), edge)
-    edge_artifact = edge < cfg.min_full_field_half_angle
-    foveal_match = foveal_deficit <= cfg.foveal_deficit_tol
-    peripheral_clean = peripheral_deficit <= cfg.peripheral_deficit_tol and not edge_artifact
+    report = metrics_report(rdf, adf, fovea_boundary_deg=cfg.fovea_boundary,
+                            periphery_start_deg=cfg.periphery_start)
+    edge_artifact = rdf.extent_deg < cfg.min_full_field_half_angle
+    foveal_match = report.foveal_deficit <= cfg.foveal_deficit_tol
+    peripheral_clean = report.peripheral_deficit <= cfg.peripheral_deficit_tol and not edge_artifact
     if foveal_match:
         letter = "A" if peripheral_clean else "B"
     else:
         letter = "C" if peripheral_clean else "D"
     return letter, ResolutionEvidence(
-        foveal_deficit=foveal_deficit,
-        peripheral_deficit=peripheral_deficit,
+        report=report,
         edge_artifact=edge_artifact,
         foveal_match=foveal_match,
         peripheral_clean=peripheral_clean,
@@ -178,12 +192,7 @@ def classify(
         resolution_class=letter,
         gaze_class=digit,
         combined=f"{label} {letter}{digit}",
-        evidence=ClassificationEvidence(
-            foveal_deficit=res_evidence.foveal_deficit,
-            peripheral_deficit=res_evidence.peripheral_deficit,
-            edge_artifact=res_evidence.edge_artifact,
-            gaze_invariance_range=reach,
-        ),
+        evidence=ClassificationEvidence(**vars(res_evidence), gaze_invariance_range=reach),
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 from . import specio
@@ -57,32 +58,19 @@ def _add_adf_options(parser: argparse.ArgumentParser, *, repeatable: bool) -> No
     )
 
 
-_CONFIG_FLAGS = (
-    ("fovea-boundary", "fovea_boundary"),
-    ("periphery-start", "periphery_start"),
-    ("min-full-field-half-angle", "min_full_field_half_angle"),
-    ("peripheral-deficit-tol", "peripheral_deficit_tol"),
-    ("foveal-deficit-tol", "foveal_deficit_tol"),
-    ("noticeability-tol", "noticeability_tol"),
-    ("invariance-extent", "invariance_extent"),
-    ("gaze-scan-step", "gaze_scan_step"),
-    ("class4-bound", "class4_bound"),
-    ("class3-bound", "class3_bound"),
-    ("full-gaze-range", "full_gaze_range"),
-)
-
-
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
+    """One ``--field-name`` flag per :class:`ClassifierConfig` field."""
     group = parser.add_argument_group("classifier thresholds")
-    for flag, attr in _CONFIG_FLAGS:
-        group.add_argument(f"--{flag}", type=float, default=None, dest=attr, metavar="V")
+    for f in fields(ClassifierConfig):
+        flag = f.name.replace("_", "-")
+        group.add_argument(f"--{flag}", type=float, default=None, dest=f.name, metavar="V")
 
 
 def _config_from_args(args) -> ClassifierConfig:
     overrides = {
-        attr: getattr(args, attr)
-        for _, attr in _CONFIG_FLAGS
-        if getattr(args, attr) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(ClassifierConfig)
+        if getattr(args, f.name) is not None
     }
     return ClassifierConfig(**overrides)
 
@@ -193,14 +181,6 @@ def _cmd_classify(args) -> int:
                 slope=args.slope,
                 foveation_error_deg=error,
             )
-        adf = make_adf(model, args.acuity, fovea_deg=args.e0, slope=args.slope,
-                       foveation_error_deg=error)
-        report = metrics_report(
-            build_rdf(spec),
-            adf,
-            fovea_boundary_deg=cfg.fovea_boundary,
-            periphery_start_deg=cfg.periphery_start,
-        )
         ev = result.evidence
         print(f"display: {spec.name}")
         print(f"acuity: {result.acuity_label} ({model})")
@@ -216,10 +196,10 @@ def _cmd_classify(args) -> int:
             f"gaze class: {result.gaze_class} "
             f"(invariance range {ev.gaze_invariance_range:.1f} deg)"
         )
-        print(f"cycle count: {report.cycle_count:.6f}")
-        print(f"pixel deficit: {report.deficit:.6f}")
-        print(f"pixel waste: {report.waste:.6f}")
-        print(f"rdf efficiency: {report.efficiency:.6f}")
+        print(f"cycle count: {ev.report.cycle_count:.6f}")
+        print(f"pixel deficit: {ev.report.deficit:.6f}")
+        print(f"pixel waste: {ev.report.waste:.6f}")
+        print(f"rdf efficiency: {ev.report.efficiency:.6f}")
         print(f"config: {_format_config(cfg)}")
         print(f"{spec.name}: {result.combined}")
     return 0

@@ -218,6 +218,7 @@ class ResolutionProfile:
         return starts, ends, v0, v1, spans
 
     def eval(self, eccentricity_deg: float) -> float:
+        """Resolution presented at one eccentricity; 0 beyond the display edge."""
         return float(self.eval_many(np.array([float(eccentricity_deg)]))[0])
 
     def eval_many(self, eccentricities_deg) -> np.ndarray:
@@ -239,11 +240,6 @@ class ResolutionProfile:
         if not self.segments:
             return ()
         return tuple(s.start for s in self.segments) + (self.segments[-1].end,)
-
-
-def rdf_eval(profile: ResolutionProfile, eccentricity_deg: float) -> float:
-    """Resolution presented at one eccentricity; 0 beyond the display edge."""
-    return profile.eval(eccentricity_deg)
 
 
 def _tier_segments(tier: Tier, floor_cpd: float) -> list[ProfileSegment]:

@@ -2,7 +2,7 @@
 
 Integrals use the composite trapezoid rule with any breakpoints of the
 integrand inserted as panel boundaries, so piecewise-linear profiles
-integrate exactly.  The default panel width of 0.0025 degrees keeps even
+integrate exactly.  The fixed panel width of 0.0025 degrees keeps even
 short intervals hugging a falloff kink (where curvature peaks) inside 1e-6
 relative error against the closed forms.
 
@@ -23,6 +23,8 @@ import numpy as np
 from .display import ProfileSegment, ResolutionProfile
 
 DEFAULT_QUADRATURE_STEP_DEG = 0.0025
+# Most nodes one quadrature may use: a range of 2,500 degrees.
+MAX_QUADRATURE_NODES = 1_000_000
 
 _EPS = 1e-12
 
@@ -50,7 +52,7 @@ def _eval_curve(curve, xs: np.ndarray) -> np.ndarray:
 _JUMP_NUDGE = 1e-9
 
 
-def _nodes(a: float, b: float, breakpoints, step: float) -> tuple[np.ndarray, np.ndarray]:
+def _nodes(a: float, b: float, breakpoints) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes over [a, b]: (weight positions, evaluation positions)."""
     pts = [a]
     for p in sorted(set(breakpoints)):
@@ -61,7 +63,7 @@ def _nodes(a: float, b: float, breakpoints, step: float) -> tuple[np.ndarray, np
     for x0, x1 in zip(pts, pts[1:]):
         if x1 - x0 <= _EPS:
             continue
-        n = max(1, math.ceil((x1 - x0) / step - 1e-9))
+        n = max(1, math.ceil((x1 - x0) / DEFAULT_QUADRATURE_STEP_DEG - 1e-9))
         seg = np.linspace(x0, x1, n + 1)
         seg_eval = seg.copy()
         seg_eval[0] = x0 + min(_JUMP_NUDGE, (x1 - x0) / 2)
@@ -79,69 +81,68 @@ def _trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
 
 def _check_range(a: float, b: float) -> tuple[float, float]:
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration range must be finite, got [{a!r}, {b!r}]")
     if a > b:
         raise ValueError(f"integration range is reversed: [{a!r}, {b!r}]")
+    if (b - a) / DEFAULT_QUADRATURE_STEP_DEG > MAX_QUADRATURE_NODES:
+        raise ValueError(f"integration range [{a!r}, {b!r}] needs over {MAX_QUADRATURE_NODES:,} nodes")
     return a, b
 
 
-def integrate(curve, a: float, b: float, *, step: float = DEFAULT_QUADRATURE_STEP_DEG) -> float:
+def integrate(curve, a: float, b: float) -> float:
     """Integral of an evaluable curve over [a, b] degrees, in cycles."""
     a, b = _check_range(a, b)
     if a == b:
         return 0.0
-    xs_w, xs_e = _nodes(a, b, _breakpoints_of(curve), step)
+    xs_w, xs_e = _nodes(a, b, _breakpoints_of(curve))
     return _trapezoid(xs_w, _eval_curve(curve, xs_e))
 
 
-def _paired_nodes(rdf, adf, a: float, b: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    return _nodes(a, b, _breakpoints_of(rdf) + _breakpoints_of(adf), step)
-
-
-def pixel_deficit(
-    rdf, adf, a: float, b: float, *, step: float = DEFAULT_QUADRATURE_STEP_DEG
-) -> float:
-    """Cycles by which the display falls short of the acuity target on [a, b]."""
+def _sample(rdf, adf, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight positions and both curves' values on shared nodes; one node if a == b."""
     a, b = _check_range(a, b)
     if a == b:
-        return 0.0
-    xs_w, xs_e = _paired_nodes(rdf, adf, a, b, step)
-    shortfall = np.maximum(_eval_curve(adf, xs_e) - _eval_curve(rdf, xs_e), 0.0)
-    return _trapezoid(xs_w, shortfall)
+        return np.array([a]), np.zeros(1), np.zeros(1)
+    xs_w, xs_e = _nodes(a, b, _breakpoints_of(rdf) + _breakpoints_of(adf))
+    return xs_w, _eval_curve(rdf, xs_e), _eval_curve(adf, xs_e)
 
 
-def pixel_waste(
-    rdf, adf, a: float, b: float, *, step: float = DEFAULT_QUADRATURE_STEP_DEG
-) -> float:
-    """Cycles the display provides beyond the acuity target on [a, b]."""
-    a, b = _check_range(a, b)
-    if a == b:
-        return 0.0
-    xs_w, xs_e = _paired_nodes(rdf, adf, a, b, step)
-    excess = np.maximum(_eval_curve(rdf, xs_e) - _eval_curve(adf, xs_e), 0.0)
-    return _trapezoid(xs_w, excess)
+def _excess(xs, over, under) -> float:
+    return _trapezoid(xs, np.maximum(over - under, 0.0))
 
 
-def rdf_efficiency(
-    rdf, adf, a: float, b: float, *, step: float = DEFAULT_QUADRATURE_STEP_DEG
-) -> float:
-    """Fraction of the display's cycles that are not wasted: 1 - waste/count."""
-    a, b = _check_range(a, b)
-    if a == b:
-        raise EfficiencyUndefinedError("efficiency is undefined over an empty range")
-    xs_w, xs_e = _paired_nodes(rdf, adf, a, b, step)
-    rdf_vals = _eval_curve(rdf, xs_e)
-    count = _trapezoid(xs_w, rdf_vals)
+def _efficiency(waste: float, count: float, a: float, b: float) -> float:
     if count <= 0.0:
-        raise EfficiencyUndefinedError(
-            f"efficiency is undefined: zero cycle count over [{a!r}, {b!r}]"
-        )
-    waste = _trapezoid(xs_w, np.maximum(rdf_vals - _eval_curve(adf, xs_e), 0.0))
+        raise EfficiencyUndefinedError(f"efficiency is undefined: zero cycle count over [{a!r}, {b!r}]")
     return 1.0 - waste / count
+
+
+def pixel_deficit(rdf, adf, a: float, b: float) -> float:
+    """Cycles by which the display falls short of the acuity target on [a, b]."""
+    xs, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
+    return _excess(xs, adf_vals, rdf_vals)
+
+
+def pixel_waste(rdf, adf, a: float, b: float) -> float:
+    """Cycles the display provides beyond the acuity target on [a, b]."""
+    xs, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
+    return _excess(xs, rdf_vals, adf_vals)
+
+
+def rdf_efficiency(rdf, adf, a: float, b: float) -> float:
+    """Fraction of the display's cycles that are not wasted: 1 - waste/count."""
+    xs, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
+    waste, count = _excess(xs, rdf_vals, adf_vals), _trapezoid(xs, rdf_vals)
+    return _efficiency(waste, count, float(a), float(b))
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Provisioning metrics of one display profile against one acuity model."""
+    """Provisioning metrics of one display profile against one acuity model.
+
+    The first four come from one sample over ``eval_range``.
+    """
 
     deficit: float
     waste: float
@@ -159,7 +160,6 @@ def metrics_report(
     eval_range: tuple[float, float] | None = None,
     fovea_boundary_deg: float = 2.0,
     periphery_start_deg: float = 10.0,
-    step: float = DEFAULT_QUADRATURE_STEP_DEG,
 ) -> MetricsReport:
     """Full metrics over ``eval_range`` (default: axis to the display edge).
 
@@ -173,17 +173,17 @@ def metrics_report(
             raise ValueError("eval_range is required for curves without an extent")
         eval_range = (0.0, float(extent))
     a, b = _check_range(*eval_range)
+    xs, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
+    waste, cycle_count = _excess(xs, rdf_vals, adf_vals), _trapezoid(xs, rdf_vals)
     edge = getattr(rdf, "extent_deg", b)
     return MetricsReport(
-        deficit=pixel_deficit(rdf, adf, a, b, step=step),
-        waste=pixel_waste(rdf, adf, a, b, step=step),
-        efficiency=rdf_efficiency(rdf, adf, a, b, step=step),
-        cycle_count=integrate(rdf, a, b, step=step),
+        deficit=_excess(xs, adf_vals, rdf_vals),
+        waste=waste,
+        efficiency=_efficiency(waste, cycle_count, a, b),
+        cycle_count=cycle_count,
         eval_range=(a, b),
-        foveal_deficit=pixel_deficit(rdf, adf, 0.0, fovea_boundary_deg, step=step),
-        peripheral_deficit=pixel_deficit(
-            rdf, adf, min(periphery_start_deg, edge), edge, step=step
-        ),
+        foveal_deficit=pixel_deficit(rdf, adf, 0.0, fovea_boundary_deg),
+        peripheral_deficit=pixel_deficit(rdf, adf, min(periphery_start_deg, edge), edge),
     )
 
 
@@ -202,14 +202,7 @@ def _two_tier_profile(hi, lo, blend_width: float) -> ResolutionProfile:
     return ResolutionProfile(tuple(segs))
 
 
-def optimal_blend_width(
-    hi,
-    lo,
-    adf,
-    *,
-    scan_step: float = 0.1,
-    step: float = DEFAULT_QUADRATURE_STEP_DEG,
-) -> float:
+def optimal_blend_width(hi, lo, adf, *, scan_step: float = 0.1) -> float:
     """Narrowest transition band minimising the two-tier profile's deficit.
 
     Candidate widths from 0 up to the high tier's half field of view are
@@ -230,14 +223,10 @@ def optimal_blend_width(
     cap = min(hi.half_fov_deg, lo.half_fov_deg - hi.half_fov_deg)
     n = int(math.floor(cap / scan_step + 1e-9))
     best_width = 0.0
-    best_deficit = pixel_deficit(
-        _two_tier_profile(hi, lo, 0.0), adf, 0.0, lo.half_fov_deg, step=step
-    )
+    best_deficit = pixel_deficit(_two_tier_profile(hi, lo, 0.0), adf, 0.0, lo.half_fov_deg)
     for i in range(1, n + 1):
         width = i * scan_step
-        deficit = pixel_deficit(
-            _two_tier_profile(hi, lo, width), adf, 0.0, lo.half_fov_deg, step=step
-        )
+        deficit = pixel_deficit(_two_tier_profile(hi, lo, width), adf, 0.0, lo.half_fov_deg)
         if deficit < best_deficit:
             best_width, best_deficit = width, deficit
     return best_width

@@ -25,6 +25,7 @@ Curve tables are UTF-8 CSV with one header row, LF line endings and fixed
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -39,6 +40,9 @@ from .display import (
 )
 
 SPEC_FILE_SUFFIX = ".spec.json"
+
+# Most rows a curve table may have, so a mistyped step or range fails at once.
+MAX_CURVE_ROWS = 1_000_000
 
 
 class SpecFileError(ValueError):
@@ -194,11 +198,17 @@ def emit_curves(curves, start: float, stop: float, step: float) -> CurveTable:
     curves = list(curves)
     if not curves:
         raise ValueError("no curves to emit")
+    for what, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"curve {what} must be finite, got {value!r}")
     if not step > 0:
         raise ValueError(f"step must be > 0, got {step!r}")
     if stop < start:
         raise ValueError(f"curve range is reversed: [{start!r}, {stop!r}]")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    intervals = (stop - start) / step + 1e-9
+    if intervals >= MAX_CURVE_ROWS:
+        raise ValueError(f"step {step!r} gives {intervals + 1:.3g} rows, over {MAX_CURVE_ROWS:,}")
+    count = int(np.floor(intervals)) + 1
     grid = start + step * np.arange(count)
     columns = ["eccentricity_deg"]
     values = [grid]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -136,6 +137,24 @@ def test_foveation_error_rejects_negative():
     m = make_adf("constant-fovea", "20/20")
     with pytest.raises(ValueError):
         inflate_for_foveation_error(m, -1.0)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("constant-fovea", "foveal_cpd"),
+        ("constant-fovea", "fovea_deg"),
+        ("constant-fovea", "foveation_error_deg"),
+        ("constant-fovea", "rolloff_cpd_per_deg"),
+        ("slope", "rolloff_per_deg"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_numbers(kind, name, value):
+    # A NaN plateau width compares false everywhere and used to grade kim D1.
+    base = make_adf(kind, "20/20")
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dataclasses.replace(base, **{name: value})
 
 
 def test_breakpoints_track_the_plateau():

@@ -6,17 +6,22 @@ import pytest
 
 from fovkit import (
     AcuityRangeWarning,
+    ClassificationEvidence,
     ClassifierConfig,
     DisplaySpec,
+    ResolutionEvidence,
     Tier,
+    build_rdf,
     classify,
     gaze_class,
     load_bundled_spec,
     make_adf,
+    metrics_report,
     parse_combined_label,
     parse_snellen,
     resolution_class,
 )
+from fovkit.classify import MAX_GAZE_SCAN_STEPS
 
 ADF_2020 = make_adf("constant-fovea", "20/20")
 
@@ -51,6 +56,16 @@ def test_config_rejects_non_finite_values(name, value):
     # A NaN tolerance would make every comparison of the gaze scan false.
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         ClassifierConfig(**{name: value})
+
+
+def test_config_caps_the_gaze_scan_steps():
+    # Validation only: a config is never scanned here.
+    cfg = ClassifierConfig(gaze_scan_step=25.0 / MAX_GAZE_SCAN_STEPS)
+    assert cfg.full_gaze_range / cfg.gaze_scan_step == MAX_GAZE_SCAN_STEPS
+    with pytest.raises(ValueError, match="scan steps, over 100,000"):
+        ClassifierConfig(gaze_scan_step=25.0 / (MAX_GAZE_SCAN_STEPS + 1))
+    with pytest.raises(ValueError, match="2.5e\\+10 scan steps"):
+        ClassifierConfig(gaze_scan_step=1e-9)
 
 
 class TestResolutionClass:
@@ -110,6 +125,27 @@ class TestClassify:
         assert ev.peripheral_deficit <= cfg.peripheral_deficit_tol
         assert not ev.edge_artifact
         assert cfg.class4_bound <= ev.gaze_invariance_range < cfg.class3_bound
+
+    @pytest.mark.parametrize("name", TABLE_ROWS)
+    def test_evidence_carries_the_metrics_report_of_one_computation(self, name):
+        spec = load_bundled_spec(name)
+        cfg = ClassifierConfig(fovea_boundary=3.0, periphery_start=12.0)
+        result = classify(spec, "20/30", cfg)
+        fresh = metrics_report(
+            build_rdf(spec),
+            make_adf("constant-fovea", "20/30"),
+            fovea_boundary_deg=3.0,
+            periphery_start_deg=12.0,
+        )
+        ev = result.evidence
+        assert ev.report == fresh
+        assert ev.foveal_deficit == fresh.foveal_deficit
+        assert ev.peripheral_deficit == fresh.peripheral_deficit
+        _, res_ev = resolution_class(spec, make_adf("constant-fovea", "20/30"), cfg)
+        assert isinstance(ev, ResolutionEvidence)
+        assert ev == ClassificationEvidence(
+            **vars(res_ev), gaze_invariance_range=ev.gaze_invariance_range
+        )
 
     def test_low_acuity_reclassifies_a_panel_upward(self):
         with warnings.catch_warnings():

@@ -1,6 +1,18 @@
 import pytest
 
+from fovkit import (
+    build_rdf,
+    bundled_spec_names,
+    integrate,
+    load_bundled_spec,
+    make_adf,
+    pixel_deficit,
+    pixel_waste,
+    rdf_efficiency,
+)
 from fovkit.cli import main
+
+ACUITIES = ("20/10", "20/15", "20/20", "20/30", "20/40", "20/80", "20/200")
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +126,15 @@ class TestCurves:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("bounds", ["0:inf", "nan:10"])
+    def test_non_finite_range_is_a_domain_error(self, capsys, tmp_path, bounds):
+        code, _, err = run_cli(
+            capsys, "curves", "--acuity", "20/20", "--range", bounds, "--step", "1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert "must be finite" in err
+
     def test_no_curves_requested(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "curves", "--range", "0:30", "--step", "1", "--out", str(tmp_path / "x.csv")
@@ -174,6 +195,23 @@ class TestMetrics:
             for m, o in outputs.items()
         }
         assert waste["slope"] > waste["constant-fovea"]
+
+
+    def test_non_finite_range_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "metrics", "--spec", "vive", "--acuity", "20/20", "--range", "0:inf"
+        )
+        assert code == 1
+        assert out == ""
+        assert "integration range must be finite" in err
+
+    def test_non_finite_plateau_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "metrics", "--spec", "vive", "--acuity", "20/20", "--e0", "nan"
+        )
+        assert code == 1
+        assert out == ""
+        assert "fovea_deg must be finite" in err
 
 
 class TestClassify:
@@ -241,6 +279,38 @@ class TestClassify:
         assert code == 1
         assert out == ""
         assert "noticeability_tol must be finite" in err
+
+    @pytest.mark.parametrize(
+        "flag, field", [("--e0", "fovea_deg"), ("--fov-error", "foveation_error_deg")]
+    )
+    def test_non_finite_acuity_model_is_a_domain_error(self, capsys, flag, field):
+        # NaN here used to grade kim D1 instead of B2 and exit 0.
+        code, out, err = run_cli(
+            capsys, "classify", "--acuity", "20/20", "--spec", "kim", flag, "nan"
+        )
+        assert code == 1
+        assert out == ""
+        assert f"{field} must be finite" in err
+
+    @pytest.mark.parametrize("name", bundled_spec_names())
+    @pytest.mark.parametrize("acuity", ACUITIES)
+    def test_metrics_lines_are_the_standalone_metrics(self, capsys, name, acuity):
+        code, out, _ = run_cli(capsys, "classify", "--acuity", acuity, "--spec", name)
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        rdf = build_rdf(load_bundled_spec(name))
+        adf = make_adf("constant-fovea", acuity)
+        edge = rdf.extent_deg
+        assert lines["cycle count"] == f"{integrate(rdf, 0.0, edge):.6f}"
+        assert lines["pixel deficit"] == f"{pixel_deficit(rdf, adf, 0.0, edge):.6f}"
+        assert lines["pixel waste"] == f"{pixel_waste(rdf, adf, 0.0, edge):.6f}"
+        assert lines["rdf efficiency"] == f"{rdf_efficiency(rdf, adf, 0.0, edge):.6f}"
+        foveal = pixel_deficit(rdf, adf, 0.0, 2.0)
+        peripheral = pixel_deficit(rdf, adf, min(10.0, edge), edge)
+        assert (
+            f"(foveal deficit {foveal:.6f}, peripheral deficit {peripheral:.6f}, "
+            in lines["resolution class"]
+        )
 
     def test_output_is_deterministic(self, capsys):
         runs = []

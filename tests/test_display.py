@@ -18,7 +18,6 @@ from fovkit import (
     make_adf,
     parse_display_spec,
     perceived_profile,
-    rdf_eval,
     serialize_display_spec,
 )
 
@@ -118,18 +117,18 @@ class TestInvariants:
 class TestBuildRdf:
     def test_uniform_profile(self):
         rdf = build_rdf(uniform(5.4, 50.0))
-        assert rdf_eval(rdf, 0.0) == 5.4
-        assert rdf_eval(rdf, 20.0) == 5.4
-        assert rdf_eval(rdf, 50.0) == 5.4
-        assert rdf_eval(rdf, 50.1) == 0.0
+        assert rdf.eval(0.0) == 5.4
+        assert rdf.eval(20.0) == 5.4
+        assert rdf.eval(50.0) == 5.4
+        assert rdf.eval(50.1) == 0.0
         assert rdf.extent_deg == 50.0
 
     def test_step_profile(self):
         rdf = build_rdf(load_bundled_spec("varjo_vr1"))
-        assert rdf_eval(rdf, 10.0) == 30.0
-        assert rdf_eval(rdf, 16.0) == 30.0  # inset edge belongs to the inset
-        assert rdf_eval(rdf, 20.0) == 7.2
-        assert rdf_eval(rdf, 60.0) == 0.0
+        assert rdf.eval(10.0) == 30.0
+        assert rdf.eval(16.0) == 30.0  # inset edge belongs to the inset
+        assert rdf.eval(20.0) == 7.2
+        assert rdf.eval(60.0) == 0.0
 
     def test_blend_ramp(self):
         spec = two_tier(30.0, 16.0, 7.2, 50.0)
@@ -141,10 +140,10 @@ class TestBuildRdf:
             ),
         )
         rdf = build_rdf(blended)
-        assert rdf_eval(rdf, 13.0) == pytest.approx(30.0)
-        assert rdf_eval(rdf, 14.5) == pytest.approx((30.0 + 7.2) / 2)
-        assert rdf_eval(rdf, 16.0) == pytest.approx(7.2)
-        assert rdf_eval(rdf, 12.9) == 30.0
+        assert rdf.eval(13.0) == pytest.approx(30.0)
+        assert rdf.eval(14.5) == pytest.approx((30.0 + 7.2) / 2)
+        assert rdf.eval(16.0) == pytest.approx(7.2)
+        assert rdf.eval(12.9) == 30.0
 
     def test_degradation_multiplies_profile(self):
         spec = uniform(
@@ -155,14 +154,14 @@ class TestBuildRdf:
             ),
         )
         rdf = build_rdf(spec)
-        assert rdf_eval(rdf, 0.0) == pytest.approx(10.0)
-        assert rdf_eval(rdf, 10.0) == pytest.approx(7.5)
-        assert rdf_eval(rdf, 20.0) == pytest.approx(5.0)
+        assert rdf.eval(0.0) == pytest.approx(10.0)
+        assert rdf.eval(10.0) == pytest.approx(7.5)
+        assert rdf.eval(20.0) == pytest.approx(5.0)
 
     def test_negative_eccentricity_rejected(self):
         rdf = build_rdf(uniform(5.4, 50.0))
         with pytest.raises(ValueError):
-            rdf_eval(rdf, -1.0)
+            rdf.eval(-1.0)
 
 
 class TestPerceived:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from fovkit import (
     pixel_waste,
     rdf_efficiency,
 )
+from fovkit.metrics import DEFAULT_QUADRATURE_STEP_DEG, MAX_QUADRATURE_NODES
 from support import ClampedMaxCurve, constant_fovea_integral, slope_model_integral
 
 ADF = make_adf("constant-fovea", "20/20")
@@ -135,6 +138,51 @@ class TestReport:
     def test_report_respects_eval_range(self):
         rep = metrics_report(UNIFORM_RDF, ADF, eval_range=(0.0, 40.0))
         assert rep.cycle_count == pytest.approx(1200.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["hololens", "kim", "varjo_vr1", "vive", "vive_pro"])
+@pytest.mark.parametrize(
+    "adf",
+    [ADF, make_adf("slope", "20/40", foveation_error_deg=1.5)],
+    ids=["constant-fovea", "slope"],
+)
+def test_report_is_one_sample_of_the_standalone_metrics(name, adf):
+    rdf = build_rdf(load_bundled_spec(name))
+    rep = metrics_report(rdf, adf, eval_range=(0.5, 44.0))
+    a, b = rep.eval_range
+    assert rep.deficit == pixel_deficit(rdf, adf, a, b)
+    assert rep.waste == pixel_waste(rdf, adf, a, b)
+    assert rep.efficiency == rdf_efficiency(rdf, adf, a, b)
+    assert rep.efficiency == 1 - rep.waste / rep.cycle_count
+    assert rep.cycle_count == pytest.approx(integrate(rdf, a, b), rel=1e-12)
+    edge = rdf.extent_deg
+    assert rep.foveal_deficit == pixel_deficit(rdf, adf, 0.0, 2.0)
+    assert rep.peripheral_deficit == pixel_deficit(rdf, adf, min(10.0, edge), edge)
+
+
+class TestRangeValidation:
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+    def test_non_finite_range_rejected(self, bounds):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate(ADF, *bounds)
+        with pytest.raises(ValueError, match="must be finite"):
+            pixel_deficit(UNIFORM_RDF, ADF, *bounds)
+        with pytest.raises(ValueError, match="must be finite"):
+            metrics_report(UNIFORM_RDF, ADF, eval_range=bounds)
+
+    def test_node_cap(self):
+        # Validation only: the curve fails on its first evaluation, so a range
+        # that passes the cap is never integrated.
+        def unevaluable(x):
+            raise LookupError("passed validation")
+
+        widest = MAX_QUADRATURE_NODES * DEFAULT_QUADRATURE_STEP_DEG
+        with pytest.raises(LookupError, match="passed validation"):
+            integrate(unevaluable, 0.0, widest)
+        with pytest.raises(ValueError, match="needs over 1,000,000 nodes"):
+            integrate(unevaluable, 0.0, 2 * widest)
+        with pytest.raises(ValueError, match="nodes"):
+            pixel_waste(UNIFORM_RDF, ADF, 0.0, 1e9)
 
 
 class TestOptimalBlendWidth:

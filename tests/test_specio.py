@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fovkit import (
@@ -13,6 +15,7 @@ from fovkit import (
     parse_display_spec,
     serialize_display_spec,
 )
+from fovkit.specio import MAX_CURVE_ROWS
 
 
 class TestParse:
@@ -153,3 +156,26 @@ class TestEmitCurves:
         adf = make_adf("slope", "20/20")
         with pytest.raises(ValueError, match="step"):
             emit_curves([("a", adf)], 0.0, 10.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [(0.0, math.inf, 1.0), (math.nan, 10.0, 1.0), (0.0, 10.0, math.inf), (0.0, 10.0, math.nan)],
+    )
+    def test_non_finite_grid_rejected(self, start, stop, step):
+        adf = make_adf("slope", "20/20")
+        with pytest.raises(ValueError, match="must be finite"):
+            emit_curves([("a", adf)], start, stop, step)
+
+    def test_row_cap(self):
+        # Validation only: the curve fails on its first evaluation, so a grid
+        # that passes the cap is never sampled.
+        class Unevaluable:
+            def eval_many(self, xs):
+                raise LookupError(f"passed validation with {len(xs)} rows")
+
+        with pytest.raises(LookupError, match=f"with {MAX_CURVE_ROWS} rows"):
+            emit_curves([("a", Unevaluable())], 0.0, MAX_CURVE_ROWS - 1.0, 1.0)
+        with pytest.raises(ValueError, match="rows, over 1,000,000"):
+            emit_curves([("a", Unevaluable())], 0.0, float(MAX_CURVE_ROWS), 1.0)
+        with pytest.raises(ValueError, match="8e\\+10 rows"):
+            emit_curves([("a", Unevaluable())], 0.0, 80.0, 1e-9)
