@@ -174,6 +174,39 @@ class AcuityModel:
             return s / (tail + s / self.foveal_cpd)
         return self.foveal_cpd / (self.rolloff_per_deg * tail + 1.0)
 
+    def crossings(self, start, end, v0, v1) -> np.ndarray:
+        """Sorted eccentricities where straight lines meet this model.
+
+        Line ``i`` runs from ``(start[i], v0[i])`` to ``(end[i], v1[i])``;
+        the four arguments broadcast.  Only isolated crossings within each
+        line's ``[start, end]`` count, so a line lying along the plateau has
+        none on it.  On the plateau a crossing is a linear root; on the
+        tail, written ``k / (e - plateau_end + c)``, a quadratic one.
+        """
+        lines = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (start, end, v0, v1)))
+        start, end, v0, v1 = (x.ravel() for x in lines)
+        keep = end > start
+        start, end, v0, v1 = start[keep], end[keep], v0[keep], v1[keep]
+        slope = (v1 - v0) / (end - start)
+        p = self.plateau_end_deg
+        if self.kind == CONSTANT_FOVEA:
+            k = self.rolloff_cpd_per_deg
+            c = k / self.foveal_cpd
+        else:
+            k = self.foveal_cpd / self.rolloff_per_deg
+            c = 1.0 / self.rolloff_per_deg
+        with np.errstate(all="ignore"):  # no root gives inf or nan, filtered below
+            plateau = start + (self.foveal_cpd - v0) / slope
+            # With x = e - p + c the line is a + slope * x, so a crossing
+            # solves slope * x**2 + a * x - k = 0; the roots are taken in
+            # the form that does not cancel (with slope 0 only -k / q is a root).
+            a = v0 + slope * (p - c - start)
+            q = -0.5 * (a + np.copysign(np.sqrt(a * a + 4.0 * slope * k), a))
+            tail = np.concatenate((q / slope, -k / q)) + (p - c)
+        on_tail = (np.maximum(np.tile(start, 2), p) <= tail) & (tail <= np.tile(end, 2))
+        on_plateau = (start <= plateau) & (plateau <= np.minimum(end, p))
+        return np.sort(np.concatenate((plateau[on_plateau], tail[on_tail])))
+
     def breakpoints(self) -> tuple[float, ...]:
         """Kink locations, used as quadrature panel boundaries."""
         return (self.plateau_end_deg,)

@@ -515,9 +515,6 @@ def build_rdf(spec: DisplaySpec) -> ResolutionProfile:
     return perceived_profile(spec, 0.0)
 
 
-_INVARIANCE_EVAL_STEP_DEG = 0.01
-
-
 def gaze_invariance_range(
     spec: DisplaySpec, adf: "AcuityModel", cfg: "ClassifierConfig"
 ) -> float:
@@ -527,36 +524,38 @@ def gaze_invariance_range(
     resolve count) and compared to the straight-ahead profile over
     ``cfg.invariance_extent``; a difference above ``cfg.noticeability_tol``
     anywhere ends the scan.  The scan is capped at ``cfg.full_gaze_range``.
+
+    Each step compares the clamped profiles exactly at a few points: 0,
+    the extent, the acuity plateau end, both profiles' knots and their right
+    limits, and the straight-ahead profile's crossings with the acuity model.
+    Tiers never rise with eccentricity and gaze only shifts them toward the
+    axis, so the perceived profile never exceeds the straight-ahead one, and
+    between two such points the gap is a line or the convex acuity tail
+    minus a line (floored at 0): it peaks at an end.
     """
-    n_e = max(1, int(round(cfg.invariance_extent / _INVARIANCE_EVAL_STEP_DEG)))
-    grid = np.linspace(0.0, cfg.invariance_extent, n_e + 1)
     base = perceived_profile(spec, 0.0)
     steps = int(math.floor(cfg.full_gaze_range / cfg.gaze_scan_step + 1e-9))
     if steps == 0:  # scan step wider than the whole range: nothing verified
         return 0.0
+    extent = cfg.invariance_extent
 
     def knots(profile: ResolutionProfile) -> np.ndarray:
         k = np.asarray(profile.breakpoints(), dtype=float)
-        return k[(0.0 < k) & (k < cfg.invariance_extent)]
+        k = k[(0.0 < k) & (k < extent)]
+        return np.concatenate([k, np.nextafter(k, np.inf)])
 
-    # Each step compares the two clamped profiles on the grid plus the knots
-    # of both.  The grid, the straight-ahead knots and the straight-ahead
-    # values there are fixed, so only the current profile's knots are new.
-    fixed = np.concatenate([grid, knots(base)])
-    fixed_acuity = adf.eval_many(fixed)
-    fixed_base = np.minimum(base.eval_many(fixed), fixed_acuity)
+    fixed = np.concatenate(
+        [[0.0, extent, adf.plateau_end_deg], knots(base), adf.crossings(*base._arrays[:4])]
+    )
+    fixed = fixed[fixed <= extent]
     reached = 0.0
     for i in range(1, steps + 1):
         g = i * cfg.gaze_scan_step
         current = perceived_profile(spec, g)
-        extra = knots(current)
-        extra_acuity = adf.eval_many(extra)
-        acuity = np.concatenate([fixed_acuity, extra_acuity])
-        base_clamped = np.concatenate(
-            [fixed_base, np.minimum(base.eval_many(extra), extra_acuity)]
-        )
-        cur_clamped = np.minimum(current.eval_many(np.concatenate([fixed, extra])), acuity)
-        if float(np.max(np.abs(cur_clamped - base_clamped))) > cfg.noticeability_tol:
+        points = np.concatenate([fixed, knots(current)])
+        acuity = adf.eval_many(points)
+        gap = np.minimum(base.eval_many(points), acuity) - np.minimum(current.eval_many(points), acuity)
+        if float(np.max(np.abs(gap))) > cfg.noticeability_tol:
             return reached
         reached = g
     return cfg.full_gaze_range

@@ -25,6 +25,8 @@ from .display import ProfileSegment, ResolutionProfile
 DEFAULT_QUADRATURE_STEP_DEG = 0.0025
 # Most nodes one quadrature may use: a range of 2,500 degrees.
 MAX_QUADRATURE_NODES = 1_000_000
+# Most candidate widths one optimal_blend_width call may integrate.
+MAX_BLEND_CANDIDATES = 10_000
 
 _EPS = 1e-12
 
@@ -210,18 +212,25 @@ def optimal_blend_width(hi, lo, adf, *, scan_step: float = 0.1) -> float:
     resolution at its edge down to the low tier's resolution over the band.
     Where the low tier already meets the acuity target at the edge, every
     candidate has zero deficit and the result is 0: a band there only adds
-    waste.  Ties go to the smaller width.
+    waste.  Ties go to the smaller width.  A ``scan_step`` that is not a
+    positive finite number, or that gives more than ``MAX_BLEND_CANDIDATES``
+    candidates, raises ``ValueError``.
     """
+    if not (math.isfinite(scan_step) and scan_step > 0):
+        raise ValueError(f"scan_step must be a positive finite number, got {scan_step!r}")
     if hi.resolution_cpd < lo.resolution_cpd:
         raise ValueError(
             "degenerate tiers: the high tier must not have lower resolution than the low tier"
         )
     if lo.half_fov_deg <= hi.half_fov_deg:
         raise ValueError("degenerate tiers: the low tier must extend past the high tier")
+    cap = min(hi.half_fov_deg, lo.half_fov_deg - hi.half_fov_deg)
+    widths = cap / scan_step + 1e-9
+    if widths >= MAX_BLEND_CANDIDATES:  # floor(widths) + 1 candidates, counting width 0
+        raise ValueError(f"scan_step {scan_step!r} gives over {MAX_BLEND_CANDIDATES:,} candidate widths")
+    n = int(math.floor(widths))
     if hi.resolution_cpd == lo.resolution_cpd:
         return 0.0
-    cap = min(hi.half_fov_deg, lo.half_fov_deg - hi.half_fov_deg)
-    n = int(math.floor(cap / scan_step + 1e-9))
     best_width = 0.0
     best_deficit = pixel_deficit(_two_tier_profile(hi, lo, 0.0), adf, 0.0, lo.half_fov_deg)
     for i in range(1, n + 1):

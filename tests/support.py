@@ -6,9 +6,10 @@ directly from the antiderivatives and never call the library's integrator.
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
-from fovkit import DisplaySpec, OffAxisDegradation, SnellenFraction, Tier
+from fovkit import DisplaySpec, OffAxisDegradation, SnellenFraction, Tier, perceived_profile
 
 
 def constant_fovea_integral(peak, rolloff, fovea, a, b, error=0.0):
@@ -62,12 +63,30 @@ class ClampedMaxCurve:
         self.adf = adf
 
     def eval_many(self, xs):
-        import numpy as np
-
         return np.maximum(self.rdf.eval_many(xs), self.adf.eval_many(xs))
 
     def breakpoints(self):
         return tuple(self.rdf.breakpoints()) + tuple(self.adf.breakpoints())
+
+
+def grid_invariance_range(spec, adf, cfg, pitch=0.002):
+    """Reach of the gaze scan by its definition, on a fixed eccentricity grid.
+
+    At each gaze step the perceived and straight-ahead profiles, both clamped
+    by the acuity model, are compared at every grid point of
+    [0, invariance_extent]; the first step where they differ by more than the
+    tolerance ends the scan.  A grid can only miss a peak, so an exact scan
+    never reaches further than this.
+    """
+    xs = np.linspace(0.0, cfg.invariance_extent, max(1, round(cfg.invariance_extent / pitch)) + 1)
+    acuity = adf.eval_many(xs)
+    base = np.minimum(perceived_profile(spec, 0.0).eval_many(xs), acuity)
+    steps = math.floor(cfg.full_gaze_range / cfg.gaze_scan_step + 1e-9)
+    for i in range(1, steps + 1):
+        current = perceived_profile(spec, i * cfg.gaze_scan_step).eval_many(xs)
+        if np.max(np.abs(np.minimum(current, acuity) - base)) > cfg.noticeability_tol:
+            return (i - 1) * cfg.gaze_scan_step
+    return cfg.full_gaze_range
 
 
 finite = dict(allow_nan=False, allow_infinity=False)

@@ -162,6 +162,23 @@ def test_breakpoints_track_the_plateau():
     assert m.breakpoints() == (5.0,)
 
 
+def test_crossings_are_the_roots_on_each_piece():
+    adf = make_adf("constant-fovea", "20/20")  # 30 cpd to 2 deg, then 75 / (e + 0.5)
+    # Falling line 40 - 2e: above the plateau, then (40 - 2e)(e + 0.5) = 75.
+    assert adf.crossings(0.0, 20.0, 40.0, 0.0) == pytest.approx([(39 + math.sqrt(1081)) / 4])
+    # A flat line meets the tail where 75 / (e + 0.5) = 10; a zero-length
+    # line has no crossing.
+    assert adf.crossings([0.0, 5.0], [50.0, 5.0], [10.0, 3.0], [10.0, 1.0]) == pytest.approx([7.0])
+    # Along the plateau a flat line has no isolated crossing; it leaves the
+    # model where the tail starts.
+    assert adf.crossings(0.0, 50.0, 30.0, 30.0) == pytest.approx([2.0])
+    # Slope model with the plateau widened to 3.5 deg: 24 + 2e = 30 at 3.
+    slope = make_adf("slope", "20/20", foveation_error_deg=1.5)
+    assert slope.crossings(0.0, 10.0, 24.0, 44.0) == pytest.approx([3.0])
+    assert len(adf.crossings(0.0, 1.0, [1.0, 2.0], 5.0)) == 0
+    assert len(adf.crossings([], [], [], [])) == 0
+
+
 def test_eval_many_matches_scalar_eval():
     m = make_adf("slope", "20/30", foveation_error_deg=1.5)
     es = [0.0, 0.7, 1.5, 3.49, 3.5, 8.0, 40.0]

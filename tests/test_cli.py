@@ -264,6 +264,13 @@ class TestClassify:
         assert code == 0
         assert "varjo_vr1: 20/20 A4" in out
 
+    def test_scan_sees_the_gap_just_right_of_a_profile_jump(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "classify", "--acuity", "20/20", "--spec", "varjo_vr1", "--adf-model", "slope"
+        )
+        assert code == 0
+        assert "gaze class: 3 (invariance range 8.4 deg)" in out.splitlines()
+
     def test_missing_spec_file_names_the_path(self, capsys):
         code, _, err = run_cli(
             capsys, "classify", "--acuity", "20/20", "--spec", "/nope/missing.spec.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -7,6 +8,7 @@ import pytest
 
 from fovkit import display
 from fovkit import (
+    AcuityModel,
     ClassifierConfig,
     DisplaySpec,
     DisplaySpecError,
@@ -228,11 +230,45 @@ class TestGazeInvariance:
         adf = make_adf("constant-fovea", "20/20")
         assert gaze_invariance_range(load_bundled_spec("hololens"), adf, cfg) == 0.0
 
+    def test_peak_just_right_of_a_profile_jump_ends_the_scan(self):
+        # Under the slope model at 20/20 the peak gap sits at the right limit
+        # of a knot of the perceived profile: 0.2534 cpd just right of 7.5 deg
+        # at gaze 8.5 (9.0 deg at gaze 7.0 with tracking error), over the 0.25
+        # tolerance, while 0.01 deg further right the gap is already under it.
+        cfg = ClassifierConfig()
+        spec = load_bundled_spec("varjo_vr1")
+        assert gaze_invariance_range(spec, make_adf("slope", "20/20"), cfg) == 8.4
+        adf = make_adf("slope", "20/20", foveation_error_deg=1.5)
+        assert gaze_invariance_range(spec, adf, cfg) == 6.9
+
+    @pytest.mark.parametrize("name", ["varjo_vr1", "kim", "vive_pro"])
+    def test_scan_cost_does_not_grow_with_the_extent(self, name):
+        sizes = []
+
+        class CountingModel(AcuityModel):
+            def eval_many(self, eccentricities_deg):
+                sizes.append(np.size(eccentricities_deg))
+                return super().eval_many(eccentricities_deg)
+
+        spec = load_bundled_spec(name)
+        adf = CountingModel(**dataclasses.asdict(make_adf("constant-fovea", "20/20")))
+        runs = []
+        # At any fixed eccentricity pitch, a 1e12 deg extent is 1e14 points.
+        for extent in (2 * spec.half_fov_deg, 1e12):
+            sizes.clear()
+            reach = gaze_invariance_range(spec, adf, ClassifierConfig(invariance_extent=extent))
+            runs.append((reach, sizes.copy()))
+        assert 0 < max(runs[1][1]) < 1_000
+        # Past the display edge both profiles are 0, so a wider extent
+        # changes neither the reach nor the number of points evaluated.
+        assert runs[0] == runs[1]
+
 
 ACUITIES = ("20/10", "20/15", "20/20", "20/30", "20/40", "20/80", "20/200")
 # Reach of the gaze scan per bundled spec at ACUITIES, recorded from a scan
-# that rebuilt every tier piece and evaluated the whole grid at each step.
-# Compared float for float: a faster scan must check the same points.
+# that rebuilt every tier piece and compared the profiles on a 0.01 deg grid
+# at each step; the exact scan stops at the same step on every one of them.
+# Compared float for float: a scan that misses or invents a peak moves a reach.
 GOLDEN_REACH = {
     "hololens": (0.0,) * 7,
     "kim": (18.0,) * 6 + (25.0,),

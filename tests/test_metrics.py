@@ -18,7 +18,7 @@ from fovkit import (
     pixel_waste,
     rdf_efficiency,
 )
-from fovkit.metrics import DEFAULT_QUADRATURE_STEP_DEG, MAX_QUADRATURE_NODES
+from fovkit.metrics import DEFAULT_QUADRATURE_STEP_DEG, MAX_BLEND_CANDIDATES, MAX_QUADRATURE_NODES
 from support import ClampedMaxCurve, constant_fovea_integral, slope_model_integral
 
 ADF = make_adf("constant-fovea", "20/20")
@@ -227,6 +227,32 @@ class TestOptimalBlendWidth:
                 Tier(resolution_cpd=7.2, half_fov_deg=20.0),
                 self.ADF,
             )
+
+    class Unevaluable:
+        """An acuity model that fails on its first evaluation."""
+
+        def eval_many(self, xs):
+            raise LookupError("passed validation")
+
+    # Validation only: with the model above, a step that passes validation
+    # fails at the first quadrature, so a rejected one was never integrated.
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_scan_step_rejected(self, step):
+        hi = Tier(resolution_cpd=30.0, half_fov_deg=8.0)
+        lo = Tier(resolution_cpd=7.2, half_fov_deg=50.0)
+        with pytest.raises(ValueError, match="scan_step must be a positive finite number"):
+            optimal_blend_width(hi, lo, self.Unevaluable(), scan_step=step)
+
+    def test_candidate_cap(self):
+        # The widest band here is 8 deg, so 8 / n gives n + 1 candidate widths.
+        hi = Tier(resolution_cpd=30.0, half_fov_deg=8.0)
+        lo = Tier(resolution_cpd=7.2, half_fov_deg=50.0)
+        at_cap = 8.0 / (MAX_BLEND_CANDIDATES - 1)
+        with pytest.raises(LookupError, match="passed validation"):
+            optimal_blend_width(hi, lo, self.Unevaluable(), scan_step=at_cap)
+        for step in (8.0 / MAX_BLEND_CANDIDATES, 1e-320):
+            with pytest.raises(ValueError, match="over 10,000 candidate widths"):
+                optimal_blend_width(hi, lo, self.Unevaluable(), scan_step=step)
 
 
 def test_quadrature_error_well_under_tolerance_near_the_kink():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fovkit import display
 from fovkit import (
+    ADF_KINDS,
     GAZE_CLASSES,
     RESOLUTION_CLASSES,
     AcuityRangeWarning,
@@ -31,7 +32,13 @@ from fovkit import (
     pixel_deficit,
     pixel_waste,
 )
-from support import ClampedMaxCurve, display_specs, finite, snellen_fractions
+from support import (
+    ClampedMaxCurve,
+    display_specs,
+    finite,
+    grid_invariance_range,
+    snellen_fractions,
+)
 
 
 @given(display_specs(), st.floats(0.0, 40.0, **finite))
@@ -156,6 +163,42 @@ def test_raising_the_profile_to_the_target_splits_cleanly(spec, fraction):
     assert pixel_waste(raised, adf, 0.0, edge) == pytest.approx(
         pixel_waste(rdf, adf, 0.0, edge), rel=1e-9, abs=1e-12
     )
+
+
+@given(
+    st.sampled_from(ADF_KINDS),
+    snellen_fractions(),
+    st.floats(0.0, 3.0, **finite),
+    st.floats(0.0, 30.0, **finite),
+    st.floats(0.01, 30.0, **finite),
+    st.floats(0.0, 70.0, **finite),
+    st.floats(0.0, 70.0, **finite),
+)
+@settings(max_examples=200, deadline=None)
+def test_adf_crossings_are_roots_and_miss_no_sign_change(
+    kind, fraction, error, start, length, v0, v1
+):
+    adf = make_adf(kind, fraction, foveation_error_deg=error)
+    end = start + length
+
+    def line(e):
+        return v0 + (v1 - v0) * (e - start) / length
+
+    found = adf.crossings(start, end, v0, v1)
+    assert np.all((start <= found) & (found <= end))
+    assert np.allclose(line(found), adf.eval_many(found), rtol=1e-9, atol=1e-9)
+    xs = np.linspace(start, end, 2001)
+    d = line(xs) - adf.eval_many(xs)
+    for i in np.flatnonzero(d[:-1] * d[1:] < 0):
+        assert np.any((xs[i] - 1e-9 <= found) & (found <= xs[i + 1] + 1e-9))
+
+
+@given(display_specs(), st.sampled_from(ADF_KINDS), snellen_fractions())
+@settings(max_examples=100, deadline=None)
+def test_exact_scan_never_reaches_past_a_dense_grid(spec, kind, fraction):
+    cfg = ClassifierConfig()
+    adf = make_adf(kind, fraction)
+    assert gaze_invariance_range(spec, adf, cfg) <= grid_invariance_range(spec, adf, cfg)
 
 
 def _degraded_pieces(spec):
