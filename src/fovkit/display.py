@@ -182,8 +182,7 @@ class DisplaySpec:
         return self.tiers[-1].half_fov_deg
 
 
-@dataclass(frozen=True)
-class ProfileSegment:
+class ProfileSegment(NamedTuple):
     """Linear-in-cpd piece of a profile on [start, end]."""
 
     start: float
@@ -210,10 +209,7 @@ class ResolutionProfile:
 
     @cached_property
     def _arrays(self):
-        starts = np.array([s.start for s in self.segments])
-        ends = np.array([s.end for s in self.segments])
-        v0 = np.array([s.value_start for s in self.segments])
-        v1 = np.array([s.value_end for s in self.segments])
+        starts, ends, v0, v1 = np.array(self.segments, dtype=float).reshape(-1, 4).T.copy()
         spans = np.where(ends > starts, ends - starts, 1.0)
         return starts, ends, v0, v1, spans
 
@@ -260,7 +256,7 @@ def _apply_degradation(
 ) -> list[ProfileSegment]:
     if degradation.kind == DEGRADATION_NONE:
         return segs
-    knots = degradation.knots()
+    knots, mults = zip(*degradation.breakpoints)
     out = []
     for s in segs:
         cuts = sorted({s.start, s.end, *(k for k in knots if s.start < k < s.end)})
@@ -273,15 +269,9 @@ def _apply_degradation(
             # Both vary: the product is quadratic, approximate by short chords.
             n = max(1, math.ceil((x1 - x0) / _PRODUCT_SUBDIV_DEG - 1e-9))
             xs = np.linspace(x0, x1, n + 1)
-            for u0, u1 in zip(xs, xs[1:]):
-                out.append(
-                    ProfileSegment(
-                        float(u0),
-                        float(u1),
-                        s.value_at(u0) * degradation.at(u0),
-                        s.value_at(u1) * degradation.at(u1),
-                    )
-                )
+            ys = (_value_at(*s, xs) * np.interp(xs, knots, mults)).tolist()
+            xs = xs.tolist()
+            out += map(ProfileSegment, xs[:-1], xs[1:], ys[:-1], ys[1:])
     return out
 
 
@@ -290,9 +280,7 @@ class _Pieces(NamedTuple):
 
     rows: np.ndarray  # all pieces as the columns of a 4 x n array, tier after tier
     tier: np.ndarray  # the tier of each column of ``rows``
-    # Per tier, its pieces as (start, end, value_start, value_end) tuples for
-    # the panel loop; None when there are too many pieces for that loop.
-    segments: tuple[tuple[tuple], ...] | None
+    segments: tuple[tuple[ProfileSegment, ...], ...]  # the same pieces, per tier
 
 
 @lru_cache(maxsize=1)
@@ -305,15 +293,12 @@ def _tier_pieces(spec: DisplaySpec) -> _Pieces:
     segments = []
     for i, tier in enumerate(spec.tiers):
         floor = spec.tiers[i + 1].resolution_cpd if i + 1 < len(spec.tiers) else 0.0
-        segs = _apply_degradation(_tier_segments(tier, floor), spec.degradation)
-        segments.append(
-            tuple((s.start, s.end, float(s.value_start), float(s.value_end)) for s in segs)
-        )
+        segments.append(tuple(_apply_degradation(_tier_segments(tier, floor), spec.degradation)))
     flat = [s for segs in segments for s in segs]
     rows = np.array(flat, dtype=float).reshape(-1, 4).T.copy()
     tier = np.repeat(np.arange(len(segments)), [len(segs) for segs in segments])
     rows.flags.writeable = tier.flags.writeable = False
-    return _Pieces(rows, tier, tuple(segments) if len(tier) < _ARRAY_MIN_PIECES else None)
+    return _Pieces(rows, tier, tuple(segments))
 
 
 def _value_at(start, end, v0, v1, x):
@@ -484,7 +469,7 @@ def _merge_collinear(rows: list[tuple]) -> tuple[ProfileSegment, ...]:
                 merged[-1] = (p[0], s[1], p[2], s[3])
                 continue
         merged.append(s)
-    return tuple(ProfileSegment(*r) for r in merged)
+    return tuple(map(ProfileSegment._make, merged))
 
 
 def perceived_profile(spec: DisplaySpec, gaze_deg: float) -> ResolutionProfile:
@@ -499,7 +484,7 @@ def perceived_profile(spec: DisplaySpec, gaze_deg: float) -> ResolutionProfile:
     g = abs(float(gaze_deg))
     pieces = _tier_pieces(spec)
     offsets = [max(0.0, g - t.steer_range_deg) if t.steerable else g for t in spec.tiers]
-    if pieces.segments is not None:
+    if len(pieces.tier) < _ARRAY_MIN_PIECES:
         contributions = [segs for segs in map(_shift_left, pieces.segments, offsets) if segs]
         segments = _compose_max(contributions) if contributions else []
     else:
@@ -523,7 +508,8 @@ def gaze_invariance_range(
     Profiles are clamped by the acuity model (only differences the user can
     resolve count) and compared to the straight-ahead profile over
     ``cfg.invariance_extent``; a difference above ``cfg.noticeability_tol``
-    anywhere ends the scan.  The scan is capped at ``cfg.full_gaze_range``.
+    anywhere ends the scan.  The scan is capped at ``cfg.full_gaze_range``,
+    which its last step checks also when the step does not divide it.
 
     Each step compares the clamped profiles exactly at a few points: 0,
     the extent, the acuity plateau end, both profiles' knots and their right
@@ -534,9 +520,7 @@ def gaze_invariance_range(
     minus a line (floored at 0): it peaks at an end.
     """
     base = perceived_profile(spec, 0.0)
-    steps = int(math.floor(cfg.full_gaze_range / cfg.gaze_scan_step + 1e-9))
-    if steps == 0:  # scan step wider than the whole range: nothing verified
-        return 0.0
+    count = cfg.full_gaze_range / cfg.gaze_scan_step
     extent = cfg.invariance_extent
 
     def knots(profile: ResolutionProfile) -> np.ndarray:
@@ -549,8 +533,8 @@ def gaze_invariance_range(
     )
     fixed = fixed[fixed <= extent]
     reached = 0.0
-    for i in range(1, steps + 1):
-        g = i * cfg.gaze_scan_step
+    for i in range(1, math.ceil(count - 1e-9) + 1):
+        g = i * cfg.gaze_scan_step if i <= count + 1e-9 else cfg.full_gaze_range
         current = perceived_profile(spec, g)
         points = np.concatenate([fixed, knots(current)])
         acuity = adf.eval_many(points)

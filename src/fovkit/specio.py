@@ -64,6 +64,21 @@ def _reject_unknown(obj: dict, allowed, where: str):
             raise SpecFileError(f"unknown key {key!r} at {where}")
 
 
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook``: a repeated key would silently keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SpecFileError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _reject_constant(token: str):
+    """``parse_constant``: ``NaN`` and ``Infinity`` are not standard JSON."""
+    raise SpecFileError(f"non-standard JSON number {token!r}")
+
+
 def _parse_tier(obj, where: str) -> Tier:
     _require(obj, dict, where)
     _reject_unknown(
@@ -111,10 +126,11 @@ def _parse_degradation(obj, where: str) -> OffAxisDegradation:
 
 def parse_display_spec(text: str) -> DisplaySpec:
     """Parse a display spec document; raises :class:`SpecFileError` with the
-    line/column for syntax errors, the key path for schema errors, and lets
+    line/column for syntax errors, the key for a repeated key, the token for
+    ``NaN``/``Infinity``, the key path for schema errors, and lets
     :class:`~fovkit.display.DisplaySpecError` name any violated invariant."""
     try:
-        root = json.loads(text)
+        root = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise SpecFileError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from None
     _require(root, dict, "$")

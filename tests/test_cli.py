@@ -1,6 +1,8 @@
 import pytest
 
 from fovkit import (
+    DisplaySpec,
+    Tier,
     build_rdf,
     bundled_spec_names,
     integrate,
@@ -9,6 +11,7 @@ from fovkit import (
     pixel_deficit,
     pixel_waste,
     rdf_efficiency,
+    serialize_display_spec,
 )
 from fovkit.cli import main
 
@@ -270,6 +273,27 @@ class TestClassify:
         )
         assert code == 0
         assert "gaze class: 3 (invariance range 8.4 deg)" in out.splitlines()
+
+    def test_last_gaze_step_checks_the_end_of_the_range(self, capsys, tmp_path):
+        # 0.3 does not divide the 25 deg range: gaze 25 itself must be checked.
+        path = tmp_path / "u.spec.json"
+        path.write_text(serialize_display_spec(DisplaySpec("u", (Tier(30.0, 39.95),))))
+        code, out, _ = run_cli(
+            capsys, "classify", "--acuity", "20/20", "--spec", str(path), "--gaze-scan-step", "0.3"
+        )
+        assert code == 0
+        assert "gaze class: 2 (invariance range 24.9 deg)" in out.splitlines()
+
+    def test_duplicate_key_in_a_spec_file_is_a_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "dup.spec.json"
+        path.write_text(
+            '{"name": "x", "tiers": [{"resolution_cpd": 30, "half_fov_deg": 20,'
+            ' "half_fov_deg": 40}]}'
+        )
+        code, out, err = run_cli(capsys, "classify", "--acuity", "20/20", "--spec", str(path))
+        assert code == 1
+        assert out == ""
+        assert "duplicate key 'half_fov_deg'" in err
 
     def test_missing_spec_file_names_the_path(self, capsys):
         code, _, err = run_cli(

@@ -15,6 +15,7 @@ from fovkit import (
     OffAxisDegradation,
     Tier,
     build_rdf,
+    classify,
     gaze_invariance_range,
     load_bundled_spec,
     make_adf,
@@ -240,6 +241,17 @@ class TestGazeInvariance:
         assert gaze_invariance_range(spec, make_adf("slope", "20/20"), cfg) == 8.4
         adf = make_adf("slope", "20/20", foveation_error_deg=1.5)
         assert gaze_invariance_range(spec, adf, cfg) == 6.9
+
+    @pytest.mark.parametrize("step, reach", [(0.1, 24.9), (0.3, 24.9), (0.7, 24.5)])
+    def test_last_step_checks_the_end_of_the_range(self, step, reach):
+        # 0.3 and 0.7 do not divide the 25 deg range; the scan used to stop at
+        # 24.9 and 24.5 without checking 25 and report the whole range.
+        spec = DisplaySpec("u", (Tier(30.0, 39.95),))
+        cfg = ClassifierConfig(gaze_scan_step=step)
+        assert gaze_invariance_range(spec, make_adf("constant-fovea", "20/20"), cfg) == (
+            pytest.approx(reach, abs=1e-9)
+        )
+        assert classify(spec, "20/20", cfg).gaze_class == 2
 
     @pytest.mark.parametrize("name", ["varjo_vr1", "kim", "vive_pro"])
     def test_scan_cost_does_not_grow_with_the_extent(self, name):

@@ -201,6 +201,32 @@ def test_exact_scan_never_reaches_past_a_dense_grid(spec, kind, fraction):
     assert gaze_invariance_range(spec, adf, cfg) <= grid_invariance_range(spec, adf, cfg)
 
 
+@given(display_specs())
+@settings(max_examples=150, deadline=None)
+def test_degraded_tier_pieces_equal_their_scalar_definition(spec):
+    """Under a lens falloff, each piece's end values are the on-axis shape
+    times the falloff, float for float, at the piece's own ends, and the
+    pieces cut from one on-axis piece tile it exactly.  Without one, the
+    pieces are the on-axis shape itself (a ramp ends at its stored value,
+    which its interpolation may miss in the last bit)."""
+    degradation = spec.degradation
+    for i, tier in enumerate(spec.tiers):
+        floor = spec.tiers[i + 1].resolution_cpd if i + 1 < len(spec.tiers) else 0.0
+        sources = display._tier_segments(tier, floor)
+        if degradation.kind == "none":
+            assert display._apply_degradation(sources, degradation) == sources
+            continue
+        cut = [display._apply_degradation([src], degradation) for src in sources]
+        assert display._apply_degradation(sources, degradation) == [p for ps in cut for p in ps]
+        for src, pieces in zip(sources, cut):
+            assert pieces[0].start == src.start and pieces[-1].end == src.end
+            for prev, p in zip(pieces, pieces[1:]):
+                assert p.start == prev.end
+            for p in pieces:
+                assert p.value_start == src.value_at(p.start) * degradation.at(p.start)
+                assert p.value_end == src.value_at(p.end) * degradation.at(p.end)
+
+
 def _degraded_pieces(spec):
     """Each tier's on-axis pieces, degraded, with the chords the model defines."""
     pieces = []
@@ -257,12 +283,10 @@ def test_perceived_profile_matches_its_definition(spec, gaze):
 @given(display_specs(), st.floats(0.0, 25.0, **finite))
 @settings(max_examples=150, deadline=None)
 def test_array_and_panel_loop_compositions_agree_exactly(spec, gaze):
-    """The memo records which composition a spec takes, so it is cleared."""
+    """Each composition reads the threshold, so patching it forces either path."""
     profiles = []
     for threshold in (0, math.inf):
-        display._tier_pieces.cache_clear()
         with mock.patch.object(display, "_ARRAY_MIN_PIECES", threshold):
             profiles.append(perceived_profile(spec, gaze))
-    display._tier_pieces.cache_clear()
     by_arrays, by_panels = profiles
     assert by_arrays.segments == by_panels.segments

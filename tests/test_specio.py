@@ -86,6 +86,26 @@ class TestParse:
                 '{"name": "x", "tiers": [{"resolution_cpd": -4, "half_fov_deg": 2}]}'
             )
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"name": "x", "tiers": [{"resolution_cpd": 1, "half_fov_deg": 2}], "tiers": []}',
+             "tiers"),
+            ('{"name": "x", "tiers": [{"resolution_cpd": 1, "half_fov_deg": 2, "half_fov_deg": 3}]}',
+             "half_fov_deg"),
+        ],
+    )
+    def test_duplicate_keys_are_rejected(self, text, key):
+        with pytest.raises(SpecFileError, match=f"duplicate key '{key}'"):
+            parse_display_spec(text)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_numbers_are_rejected(self, token):
+        with pytest.raises(SpecFileError, match=f"non-standard JSON number '{token}'"):
+            parse_display_spec(
+                f'{{"name": "x", "tiers": [{{"resolution_cpd": 1, "half_fov_deg": {token}}}]}}'
+            )
+
     def test_unknown_degradation_kind(self):
         with pytest.raises(SpecFileError, match="unknown degradation kind"):
             parse_display_spec(
