@@ -57,6 +57,12 @@ class SnellenFraction:
             raise SnellenParseError(
                 f"denominator must be a positive finite number, got {self.denominator!r}"
             )
+        ratio = self.value()
+        if not 0 < ratio < math.inf:
+            raise SnellenParseError(
+                f"acuity ratio {self.numerator!r}/{self.denominator!r} = {ratio!r} "
+                "is not a positive finite number"
+            )
 
     def value(self) -> float:
         return self.numerator / self.denominator
@@ -97,14 +103,25 @@ def cpd_to_dpi(cpd: float, viewing_distance_in: float) -> float:
     """Dot pitch (dots per inch) that presents ``cpd`` at a distance in inches.
 
     One dot subtends half a cycle, i.e. ``1/(2*cpd)`` degrees; the result is
-    the reciprocal of its linear size at the given distance.
+    the reciprocal of its linear size at the given distance.  Raises
+    ``ValueError`` unless both inputs and the result are positive and finite
+    and the dot is narrower than 90 degrees, where the tangent stops growing.
     """
-    if not cpd > 0:
-        raise ValueError(f"cycles per degree must be > 0, got {cpd!r}")
-    if not viewing_distance_in > 0:
-        raise ValueError(f"viewing distance must be > 0, got {viewing_distance_in!r}")
+    if not 0 < cpd < math.inf:
+        raise ValueError(f"cycles per degree must be > 0 and finite, got {cpd!r}")
+    if not 0 < viewing_distance_in < math.inf:
+        raise ValueError(f"viewing distance must be > 0 and finite, got {viewing_distance_in!r}")
     dot_angle_deg = 1.0 / (2.0 * cpd)
-    return 1.0 / (viewing_distance_in * math.tan(math.radians(dot_angle_deg)))
+    if not dot_angle_deg < 90.0:
+        raise ValueError(f"{cpd!r} cpd makes one dot {dot_angle_deg!r} deg wide, not under 90 deg")
+    dot_size_in = viewing_distance_in * math.tan(math.radians(dot_angle_deg))
+    dpi = 1.0 / dot_size_in if dot_size_in > 0 else math.inf
+    if not 0 < dpi < math.inf:
+        raise ValueError(
+            f"{cpd!r} cpd at {viewing_distance_in!r} in gives {dpi!r} dpi, "
+            "not a positive finite number"
+        )
+    return dpi
 
 
 @dataclass(frozen=True)

@@ -100,9 +100,10 @@ def _format_config(cfg: ClassifierConfig) -> str:
 
 def _cmd_convert(args) -> int:
     cpd = snellen_to_cpd(args.snellen)
-    print(f"{cpd:.1f} cpd")
+    lines = [f"{cpd:.1f} cpd"]
     if args.distance_in is not None:
-        print(f"{cpd_to_dpi(cpd, args.distance_in):.1f} dpi")
+        lines.append(f"{cpd_to_dpi(cpd, args.distance_in):.1f} dpi")
+    print("\n".join(lines))
     return 0
 
 

@@ -13,10 +13,11 @@ is the direction away from the display centre.
 
 Everything here is immutable.  The on-axis pieces of each tier do not depend
 on gaze, so they are memoised for the most recent spec only, in a
-single-entry ``functools.lru_cache`` of read-only arrays and tuples.  Equal
-specs have equal pieces, so the memo changes no result, and the cache is
-thread-safe: the module stays pure, and profiles may be built and evaluated
-from any number of threads concurrently.
+single-entry ``functools.lru_cache`` of read-only arrays and tuples, together
+with the on-axis profile they compose.  Equal specs have equal pieces, so
+the memo changes no result, and the cache is thread-safe: the module stays
+pure, and profiles may be built and evaluated from any number of threads
+concurrently.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -138,9 +139,6 @@ class OffAxisDegradation:
         es = [e for e, _ in self.breakpoints]
         ms = [m for _, m in self.breakpoints]
         return float(np.interp(eccentricity_deg, es, ms))
-
-    def knots(self) -> tuple[float, ...]:
-        return tuple(e for e, _ in self.breakpoints)
 
 
 @dataclass(frozen=True)
@@ -276,19 +274,22 @@ def _apply_degradation(
 
 
 class _Pieces(NamedTuple):
-    """The on-axis, degraded pieces of every tier."""
+    """The on-axis, degraded pieces of every tier, and the profile they compose."""
 
     rows: np.ndarray  # all pieces as the columns of a 4 x n array, tier after tier
     tier: np.ndarray  # the tier of each column of ``rows``
     segments: tuple[tuple[ProfileSegment, ...], ...]  # the same pieces, per tier
+    on_axis: ResolutionProfile  # their maximum with no tier shifted
 
 
 @lru_cache(maxsize=1)
 def _tier_pieces(spec: DisplaySpec) -> _Pieces:
     """The tiers' pieces do not depend on gaze, so a gaze scan builds them once.
 
-    Only the most recent spec is kept: a per-spec cache would hold every
-    chord of every design a sweep visits.  The arrays are read-only.
+    The on-axis profile is composed here too, once per spec: grading reads it
+    both as the display's profile and as the gaze scan's reference.  Only the
+    most recent spec is kept: a per-spec cache would hold every chord of
+    every design a sweep visits.  The arrays are read-only.
     """
     segments = []
     for i, tier in enumerate(spec.tiers):
@@ -298,7 +299,8 @@ def _tier_pieces(spec: DisplaySpec) -> _Pieces:
     rows = np.array(flat, dtype=float).reshape(-1, 4).T.copy()
     tier = np.repeat(np.arange(len(segments)), [len(segs) for segs in segments])
     rows.flags.writeable = tier.flags.writeable = False
-    return _Pieces(rows, tier, tuple(segments))
+    segments = tuple(segments)
+    return _Pieces(rows, tier, segments, _compose(rows, tier, segments, [0.0] * len(segments)))
 
 
 def _value_at(start, end, v0, v1, x):
@@ -333,11 +335,19 @@ def _shift_left_array(rows: np.ndarray, tier: np.ndarray, offsets: np.ndarray):
     return np.array([a - off, end - off, _value_at(start, end, v0, v1, a), v1]), tier
 
 
-def _dedup_sorted(values) -> list[float]:
-    out = []
+def _dedup_sorted(values, anchors=()) -> list[float]:
+    """Sorted ``values`` with each run within ``_KNOT_EPS`` of its first value kept once.
+
+    A run is kept as its first value, unless a later value of the run is in
+    ``anchors`` and the first is not: then it is kept as that anchor.
+    """
+    out, first = [], -math.inf
     for v in values:
-        if not out or v - out[-1] > _KNOT_EPS:
+        if v - first > _KNOT_EPS:
             out.append(v)
+            first = v
+        elif v in anchors and out[-1] not in anchors:
+            out[-1] = v
     return out
 
 
@@ -364,19 +374,21 @@ def _split_panel(x0: float, x1: float, lines: list[tuple[float, float]]) -> list
     return out
 
 
-def _compose_max(contributions: list[list[tuple]]) -> list[tuple]:
+def _compose_max(contributions: list[list[tuple]], anchors=()) -> list[tuple]:
     """Pointwise maximum of piecewise-linear contributions, exactly.
 
     The knots of all contributions cut the axis into panels, on each of
     which every contribution is one line (0 where it does not reach).
-    Returns the (start, end, v0, v1) segments of the maximum.
+    Knots closer than ``_KNOT_EPS`` make one panel edge, an anchor if one of
+    them is (see :func:`_compose`).  Returns the (start, end, v0, v1)
+    segments of the maximum.
     """
     knots = {0.0}
     for segs in contributions:
         for s in segs:
             knots.add(s[0])
             knots.add(s[1])
-    xs = _dedup_sorted(sorted(knots))
+    xs = _dedup_sorted(sorted(knots), anchors)
     ends = [[s[1] for s in segs] for segs in contributions]
     out = []
     for x0, x1 in zip(xs, xs[1:]):
@@ -400,7 +412,7 @@ def _compose_max(contributions: list[list[tuple]]) -> list[tuple]:
     return out
 
 
-def _compose_max_array(rows: np.ndarray, tier: np.ndarray) -> list[tuple]:
+def _compose_max_array(rows: np.ndarray, tier: np.ndarray, anchors=()) -> list[tuple]:
     """:func:`_compose_max` over all panels at once, for many pieces.
 
     A panel where two lines cross is handed to :func:`_split_panel`; every
@@ -410,7 +422,7 @@ def _compose_max_array(rows: np.ndarray, tier: np.ndarray) -> list[tuple]:
     start, end, v0, v1 = rows
     xs = np.unique(np.concatenate(([0.0], start, end)))
     if not (np.diff(xs) > _KNOT_EPS).all():
-        xs = np.array(_dedup_sorted(xs.tolist()))
+        xs = np.array(_dedup_sorted(xs.tolist(), anchors))
     x0, x1 = xs[:-1], xs[1:]
     mid = 0.5 * (x0 + x1)
     span = x1 - x0
@@ -472,6 +484,30 @@ def _merge_collinear(rows: list[tuple]) -> tuple[ProfileSegment, ...]:
     return tuple(map(ProfileSegment._make, merged))
 
 
+def _compose(
+    rows: np.ndarray, tier: np.ndarray, segments, offsets: list[float]
+) -> ResolutionProfile:
+    """Maximum of the tier pieces, each tier shifted toward the axis by its offset.
+
+    The knots of an unshifted tier are also knots of the on-axis profile.  A
+    shifted knot that rounds to within ``_KNOT_EPS`` of one, say 4.00001 - 1
+    = 3.0000099999999996 next to 3.00001, must not move it: cutting the
+    unshifted tier short by that ulp would open a full-height gap to the
+    on-axis profile at that one gaze only, and the gaze scan's verdict would
+    no longer grow with gaze.  So where knots merge, an unshifted one is kept.
+    """
+    anchors = ()
+    if any(offsets) and not all(offsets):
+        anchors = {x for segs, o in zip(segments, offsets) if not o for s in segs for x in s[:2]}
+    if len(tier) < _ARRAY_MIN_PIECES:
+        contributions = [segs for segs in map(_shift_left, segments, offsets) if segs]
+        out = _compose_max(contributions, anchors) if contributions else []
+    else:
+        rows, tier = _shift_left_array(rows, tier, np.array(offsets))
+        out = _compose_max_array(rows, tier, anchors) if len(tier) else []
+    return ResolutionProfile(_merge_collinear(out))
+
+
 def perceived_profile(spec: DisplaySpec, gaze_deg: float) -> ResolutionProfile:
     """Worst-case resolution over gaze eccentricity for a given gaze direction.
 
@@ -484,15 +520,9 @@ def perceived_profile(spec: DisplaySpec, gaze_deg: float) -> ResolutionProfile:
     g = abs(float(gaze_deg))
     pieces = _tier_pieces(spec)
     offsets = [max(0.0, g - t.steer_range_deg) if t.steerable else g for t in spec.tiers]
-    if len(pieces.tier) < _ARRAY_MIN_PIECES:
-        contributions = [segs for segs in map(_shift_left, pieces.segments, offsets) if segs]
-        segments = _compose_max(contributions) if contributions else []
-    else:
-        rows, tier = _shift_left_array(pieces.rows, pieces.tier, np.array(offsets))
-        segments = _compose_max_array(rows, tier) if len(tier) else []
-    if not segments:
-        return ResolutionProfile(())
-    return ResolutionProfile(_merge_collinear(segments))
+    if not any(offsets):
+        return pieces.on_axis
+    return _compose(pieces.rows, pieces.tier, pieces.segments, offsets)
 
 
 def build_rdf(spec: DisplaySpec) -> ResolutionProfile:
@@ -500,18 +530,15 @@ def build_rdf(spec: DisplaySpec) -> ResolutionProfile:
     return perceived_profile(spec, 0.0)
 
 
-def gaze_invariance_range(
+def _noticeable_change(
     spec: DisplaySpec, adf: "AcuityModel", cfg: "ClassifierConfig"
-) -> float:
-    """Largest scanned gaze angle with no noticeable perceived-profile change.
+) -> Callable[[float], bool]:
+    """The gaze scan's check of one gaze angle, with the gaze-free work done once.
 
-    Profiles are clamped by the acuity model (only differences the user can
-    resolve count) and compared to the straight-ahead profile over
-    ``cfg.invariance_extent``; a difference above ``cfg.noticeability_tol``
-    anywhere ends the scan.  The scan is capped at ``cfg.full_gaze_range``,
-    which its last step checks also when the step does not divide it.
-
-    Each step compares the clamped profiles exactly at a few points: 0,
+    The returned function tells whether the perceived profile at a gaze,
+    clamped by the acuity model, differs from the clamped straight-ahead
+    profile by more than ``cfg.noticeability_tol`` over
+    ``cfg.invariance_extent``.  It compares them exactly at a few points: 0,
     the extent, the acuity plateau end, both profiles' knots and their right
     limits, and the straight-ahead profile's crossings with the acuity model.
     Tiers never rise with eccentricity and gaze only shifts them toward the
@@ -519,8 +546,7 @@ def gaze_invariance_range(
     between two such points the gap is a line or the convex acuity tail
     minus a line (floored at 0): it peaks at an end.
     """
-    base = perceived_profile(spec, 0.0)
-    count = cfg.full_gaze_range / cfg.gaze_scan_step
+    base = _tier_pieces(spec).on_axis
     extent = cfg.invariance_extent
 
     def knots(profile: ResolutionProfile) -> np.ndarray:
@@ -532,14 +558,61 @@ def gaze_invariance_range(
         [[0.0, extent, adf.plateau_end_deg], knots(base), adf.crossings(*base._arrays[:4])]
     )
     fixed = fixed[fixed <= extent]
-    reached = 0.0
-    for i in range(1, math.ceil(count - 1e-9) + 1):
-        g = i * cfg.gaze_scan_step if i <= count + 1e-9 else cfg.full_gaze_range
-        current = perceived_profile(spec, g)
+
+    def noticeable(gaze_deg: float) -> bool:
+        current = perceived_profile(spec, gaze_deg)
         points = np.concatenate([fixed, knots(current)])
         acuity = adf.eval_many(points)
         gap = np.minimum(base.eval_many(points), acuity) - np.minimum(current.eval_many(points), acuity)
-        if float(np.max(np.abs(gap))) > cfg.noticeability_tol:
-            return reached
-        reached = g
-    return cfg.full_gaze_range
+        return float(np.max(np.abs(gap))) > cfg.noticeability_tol
+
+    return noticeable
+
+
+def gaze_invariance_range(
+    spec: DisplaySpec, adf: "AcuityModel", cfg: "ClassifierConfig"
+) -> float:
+    """Largest scanned gaze angle with no noticeable perceived-profile change.
+
+    Profiles are clamped by the acuity model (only differences the user can
+    resolve count) and compared to the straight-ahead profile over
+    ``cfg.invariance_extent``; a difference above ``cfg.noticeability_tol``
+    anywhere is noticeable.  Step ``i`` of the scan checks gaze
+    ``i * cfg.gaze_scan_step``, and the reach is the gaze of the step before
+    the first noticeable one.  The scan is capped at ``cfg.full_gaze_range``,
+    which its last step checks also when the step does not divide it, and
+    which is returned when no step is noticeable.
+
+    The verdict is monotone in gaze.  A tier's shift toward the axis is the
+    gaze, or the gaze beyond its steer range for a steerable tier, and both
+    never decrease as the gaze grows, while every tier shape is
+    non-increasing in eccentricity.  So a larger gaze gives a perceived
+    profile that is nowhere above a smaller gaze's, the clamped gap to the
+    straight-ahead profile never shrinks, and once a step is noticeable
+    every later one is too.  The first noticeable step is therefore found by
+    galloping (steps 1, 2, 4, ...) and then bisecting: O(log n) profile
+    compositions for n steps instead of up to n, one when step 1 is already
+    noticeable and ``ceil(log2 n) + 1`` when none is.
+    """
+    noticeable = _noticeable_change(spec, adf, cfg)
+    count = cfg.full_gaze_range / cfg.gaze_scan_step
+    n = math.ceil(count - 1e-9)
+
+    def gaze(i: int) -> float:
+        return i * cfg.gaze_scan_step if i <= count + 1e-9 else cfg.full_gaze_range
+
+    # Step lo is not noticeable (step 0 is straight ahead) and step hi is,
+    # with n + 1 standing for "no step is".
+    lo, hi, probe = 0, n + 1, min(1, n)
+    while lo < probe < hi:
+        if noticeable(gaze(probe)):
+            hi = probe
+        else:
+            lo, probe = probe, min(2 * probe, n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if noticeable(gaze(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return cfg.full_gaze_range if hi > n else gaze(lo)

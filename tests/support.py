@@ -9,7 +9,14 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from fovkit import DisplaySpec, OffAxisDegradation, SnellenFraction, Tier, perceived_profile
+from fovkit import (
+    DisplaySpec,
+    OffAxisDegradation,
+    SnellenFraction,
+    Tier,
+    display,
+    perceived_profile,
+)
 
 
 def constant_fovea_integral(peak, rolloff, fovea, a, b, error=0.0):
@@ -86,6 +93,26 @@ def grid_invariance_range(spec, adf, cfg, pitch=0.002):
         current = perceived_profile(spec, i * cfg.gaze_scan_step).eval_many(xs)
         if np.max(np.abs(np.minimum(current, acuity) - base)) > cfg.noticeability_tol:
             return (i - 1) * cfg.gaze_scan_step
+    return cfg.full_gaze_range
+
+
+def linear_invariance_range(spec, adf, cfg):
+    """Reach of the gaze scan by its definition: every step in turn, in order.
+
+    Step i checks gaze i * gaze_scan_step, and the last step checks
+    full_gaze_range itself also when the step does not divide it; the reach is
+    the gaze of the step before the first noticeable one.  Each step is judged
+    by the library's own per-step check, so comparing the scan with this tests
+    its search alone.
+    """
+    noticeable = display._noticeable_change(spec, adf, cfg)
+    steps = cfg.full_gaze_range / cfg.gaze_scan_step
+    reached = 0.0
+    for i in range(1, math.ceil(steps - 1e-9) + 1):
+        gaze = i * cfg.gaze_scan_step if i <= steps + 1e-9 else cfg.full_gaze_range
+        if noticeable(gaze):
+            return reached
+        reached = gaze
     return cfg.full_gaze_range
 
 

@@ -42,6 +42,13 @@ def test_parse_snellen_rejects_nonpositive():
         parse_snellen("20/0")
 
 
+@pytest.mark.parametrize("text", ["1e300/1e-300", "1e-300/1e300"])
+def test_parse_snellen_rejects_a_ratio_that_is_not_positive_and_finite(text):
+    # 1e300/1e-300 used to parse, and its inf cpd ended `convert` in a traceback.
+    with pytest.raises(SnellenParseError, match="acuity ratio"):
+        parse_snellen(text)
+
+
 def test_snellen_to_cpd():
     assert snellen_to_cpd("20/20") == 30.0
     assert snellen_to_cpd("20/40") == 15.0
@@ -64,6 +71,23 @@ def test_cpd_to_dpi_rejects_nonpositive():
         cpd_to_dpi(0.0, 24.0)
     with pytest.raises(ValueError):
         cpd_to_dpi(30.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "cpd, dist, match",
+    [
+        (30.0, math.inf, "distance"),  # used to give 0.0 dpi
+        (30.0, math.nan, "distance"),
+        (math.inf, 24.0, "cycles"),  # used to raise ZeroDivisionError
+        (math.nan, 24.0, "cycles"),
+        (1e300, 1e-300, "inf dpi"),  # the dot's size underflows to 0
+        (0.006, 1e308, "0.0 dpi"),  # the dot's size overflows
+        (0.002, 24.0, "90 deg"),  # a 250 deg dot used to give 0.015 dpi
+    ],
+)
+def test_cpd_to_dpi_rejects_non_finite_inputs_and_results(cpd, dist, match):
+    with pytest.raises(ValueError, match=match):
+        cpd_to_dpi(cpd, dist)
 
 
 def test_make_adf_defaults():

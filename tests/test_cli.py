@@ -56,6 +56,24 @@ class TestConvert:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("distance", ["inf", "nan"])
+    def test_non_finite_distance_is_a_domain_error(self, capsys, distance):
+        # inf used to print "0.0 dpi" and exit 0.
+        code, out, err = run_cli(capsys, "convert", "--snellen", "20/20", "--distance-in", distance)
+        assert code == 1
+        assert out == ""
+        assert "error: viewing distance must be > 0 and finite" in err
+
+    def test_overflowing_fraction_is_a_usage_error(self, capsys):
+        # Its inf cpd used to end in a ZeroDivisionError traceback; like every
+        # fraction the parser rejects, it now fails argument parsing.
+        with pytest.raises(SystemExit) as e:
+            main(["convert", "--snellen", "1e300/1e-300", "--distance-in", "24"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid parse_snellen value: '1e300/1e-300'" in captured.err
+
 
 class TestCurves:
     def test_writes_csv_with_expected_grid(self, capsys, tmp_path):

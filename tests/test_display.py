@@ -23,6 +23,7 @@ from fovkit import (
     perceived_profile,
     serialize_display_spec,
 )
+from support import grid_invariance_range, linear_invariance_range
 
 
 def uniform(res, half_fov, **kw):
@@ -274,6 +275,73 @@ class TestGazeInvariance:
         # Past the display edge both profiles are 0, so a wider extent
         # changes neither the reach nor the number of points evaluated.
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "name, acuity, reach, most",
+        [
+            ("hololens", "20/20", 0.0, 1),  # step 1 is already noticeable
+            ("uniform_30cpd_80deg", "20/200", 25.0, 9),  # no step is: ceil(log2 250) + 1
+        ],
+    )
+    def test_scan_composes_logarithmically_many_profiles(
+        self, monkeypatch, name, acuity, reach, most
+    ):
+        gazes = []
+        perceived = display.perceived_profile
+
+        def counting(spec, gaze_deg):
+            gazes.append(gaze_deg)
+            return perceived(spec, gaze_deg)
+
+        monkeypatch.setattr(display, "perceived_profile", counting)
+        adf = make_adf("constant-fovea", acuity)
+        assert gaze_invariance_range(load_bundled_spec(name), adf, ClassifierConfig()) == reach
+        tried = [g for g in gazes if g > 0]
+        assert 0 < len(tried) == len(set(tried)) <= most
+
+    @pytest.mark.parametrize(
+        "steered_edge, outer_edge, gaze", [(3.00001, 4.00001, 1.0), (3.0, 4.1, 1.1)]
+    )
+    def test_a_shifted_edge_never_cuts_a_steered_tier_short(self, steered_edge, outer_edge, gaze):
+        # At this gaze the outer tier's shifted edge rounds to an ulp below the
+        # steered tier's edge (4.00001 - 1.0 = 3.0000099999999996).  Merging
+        # the two knots used to cut the steered tier short by that ulp: a
+        # 1 cpd gap at that one gaze step, which ended the linear scan (and, on
+        # the grid point 3.0, the dense-grid oracle) at gaze - 0.1 and which
+        # the bisected scan skipped.
+        spec = DisplaySpec(
+            "_",
+            (Tier(2.0, 1.0), Tier(2.0, steered_edge, True, 2.0), Tier(0.5, outer_edge)),
+            OffAxisDegradation("piecewise-linear", ((0.0, 1.0), (1.0, 0.5))),
+        )
+        assert perceived_profile(spec, gaze).extent_deg == steered_edge
+        # Until the steered tier moves at gaze 2, the only change is the outer
+        # tier's 0.25 cpd falling off the edge: exactly the tolerance, not over.
+        adf, cfg = make_adf("constant-fovea", "20/10"), ClassifierConfig()
+        reach = gaze_invariance_range(spec, adf, cfg)
+        assert reach == linear_invariance_range(spec, adf, cfg) == pytest.approx(2.0, abs=1e-9)
+        assert reach <= grid_invariance_range(spec, adf, cfg)
+
+    def test_classify_composes_the_on_axis_profile_once(self, monkeypatch):
+        gazes, offsets = [], []
+        perceived, compose = display.perceived_profile, display._compose
+
+        def counting_perceived(spec, gaze_deg):
+            gazes.append(gaze_deg)
+            return perceived(spec, gaze_deg)
+
+        def counting_compose(rows, tier, segments, tier_offsets):
+            offsets.append(tier_offsets)
+            return compose(rows, tier, segments, tier_offsets)
+
+        monkeypatch.setattr(display, "perceived_profile", counting_perceived)
+        monkeypatch.setattr(display, "_compose", counting_compose)
+        display._tier_pieces.cache_clear()
+        classify(load_bundled_spec("varjo_vr1"), "20/20")
+        assert gazes.count(0.0) == 1
+        # One composition with no tier shifted, then one per gaze the scan tried.
+        assert offsets.count([0.0, 0.0]) == 1
+        assert len(offsets) == len(gazes) > 1
 
 
 ACUITIES = ("20/10", "20/15", "20/20", "20/30", "20/40", "20/80", "20/200")

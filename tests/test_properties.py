@@ -37,6 +37,7 @@ from support import (
     display_specs,
     finite,
     grid_invariance_range,
+    linear_invariance_range,
     snellen_fractions,
 )
 
@@ -201,6 +202,20 @@ def test_exact_scan_never_reaches_past_a_dense_grid(spec, kind, fraction):
     assert gaze_invariance_range(spec, adf, cfg) <= grid_invariance_range(spec, adf, cfg)
 
 
+# 0.3 and 0.7 do not divide the default 25 deg range, so the last step is the range's end.
+@given(
+    display_specs(),
+    st.sampled_from(ADF_KINDS),
+    snellen_fractions(),
+    st.sampled_from([0.1, 0.3, 0.7]),
+)
+@settings(max_examples=100, deadline=None)
+def test_bisected_scan_equals_the_linear_scan(spec, kind, fraction, step):
+    cfg = ClassifierConfig(gaze_scan_step=step)
+    adf = make_adf(kind, fraction)
+    assert gaze_invariance_range(spec, adf, cfg) == linear_invariance_range(spec, adf, cfg)
+
+
 @given(display_specs())
 @settings(max_examples=150, deadline=None)
 def test_degraded_tier_pieces_equal_their_scalar_definition(spec):
@@ -283,10 +298,15 @@ def test_perceived_profile_matches_its_definition(spec, gaze):
 @given(display_specs(), st.floats(0.0, 25.0, **finite))
 @settings(max_examples=150, deadline=None)
 def test_array_and_panel_loop_compositions_agree_exactly(spec, gaze):
-    """Each composition reads the threshold, so patching it forces either path."""
+    """Each composition reads the threshold, so patching it forces either path.
+
+    The memo holds the on-axis profile composed by whichever path ran first,
+    so it is cleared for each path.
+    """
     profiles = []
     for threshold in (0, math.inf):
         with mock.patch.object(display, "_ARRAY_MIN_PIECES", threshold):
+            display._tier_pieces.cache_clear()
             profiles.append(perceived_profile(spec, gaze))
     by_arrays, by_panels = profiles
     assert by_arrays.segments == by_panels.segments
