@@ -34,6 +34,10 @@ DEFAULT_ROLLOFF_CPD_PER_DEG = 75.0
 DEFAULT_ROLLOFF_PER_DEG = 0.55
 ALT_ROLLOFF_PER_DEG = 0.44
 
+# Widest quadrature panel, in degrees: the metrics split every interval
+# between cuts into panels no wider, and the tail's graded cuts stop here.
+QUADRATURE_PANEL_DEG = 0.5
+
 
 class SnellenParseError(ValueError):
     """Raised when a Snellen fraction string cannot be parsed."""
@@ -191,6 +195,13 @@ class AcuityModel:
             return s / (tail + s / self.foveal_cpd)
         return self.foveal_cpd / (self.rolloff_per_deg * tail + 1.0)
 
+    @property
+    def _tail(self) -> tuple[float, float]:
+        """``(k, c)`` of the tail written ``k / (e - plateau_end + c)``."""
+        if self.kind == CONSTANT_FOVEA:
+            return self.rolloff_cpd_per_deg, self.rolloff_cpd_per_deg / self.foveal_cpd
+        return self.foveal_cpd / self.rolloff_per_deg, 1.0 / self.rolloff_per_deg
+
     def crossings(self, start, end, v0, v1) -> np.ndarray:
         """Sorted eccentricities where straight lines meet this model.
 
@@ -206,12 +217,7 @@ class AcuityModel:
         start, end, v0, v1 = start[keep], end[keep], v0[keep], v1[keep]
         slope = (v1 - v0) / (end - start)
         p = self.plateau_end_deg
-        if self.kind == CONSTANT_FOVEA:
-            k = self.rolloff_cpd_per_deg
-            c = k / self.foveal_cpd
-        else:
-            k = self.foveal_cpd / self.rolloff_per_deg
-            c = 1.0 / self.rolloff_per_deg
+        k, c = self._tail
         with np.errstate(all="ignore"):  # no root gives inf or nan, filtered below
             plateau = start + (self.foveal_cpd - v0) / slope
             # With x = e - p + c the line is a + slope * x, so a crossing
@@ -225,8 +231,23 @@ class AcuityModel:
         return np.sort(np.concatenate((plateau[on_plateau], tail[on_tail])))
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Kink locations, used as quadrature panel boundaries."""
-        return (self.plateau_end_deg,)
+        """Quadrature panel boundaries: the plateau end, then graded cuts.
+
+        The tail ``k / (e - p + c)``, with ``p`` the plateau end, has a pole
+        at ``p - c``.  When ``c`` is small (a steep rolloff), the cuts
+        ``p + c * (2**j - 1)`` for ``j = 1, 2, ...`` keep every panel at
+        least its own width from the pole, which a Gauss rule needs to be
+        exact to rounding.  They stop once the next panel, ``c * 2**j``
+        wide, would reach ``QUADRATURE_PANEL_DEG``; past the last cut the
+        pole is at least that far away.  The default rolloffs add no cut.
+        """
+        p = self.plateau_end_deg
+        _, c = self._tail
+        cuts, width = [p], c
+        while 0.0 < width < QUADRATURE_PANEL_DEG:
+            width *= 2.0
+            cuts.append(p + (width - c))
+        return tuple(cuts)
 
     def with_foveation_error(self, error_deg: float) -> "AcuityModel":
         """Copy of this model degraded by an angular tracking error."""

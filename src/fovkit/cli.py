@@ -102,7 +102,11 @@ def _cmd_convert(args) -> int:
     cpd = snellen_to_cpd(args.snellen)
     lines = [f"{cpd:.1f} cpd"]
     if args.distance_in is not None:
-        lines.append(f"{cpd_to_dpi(cpd, args.distance_in):.1f} dpi")
+        dpi = cpd_to_dpi(cpd, args.distance_in)
+        text = f"{dpi:.1f}"
+        if float(text) == 0.0:  # a valid result under 0.05 dpi
+            text = f"{dpi:.3g}"
+        lines.append(f"{text} dpi")
     print("\n".join(lines))
     return 0
 

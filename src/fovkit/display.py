@@ -242,10 +242,10 @@ def _tier_segments(tier: Tier, floor_cpd: float) -> list[ProfileSegment]:
     segs = []
     if body_end > _KNOT_EPS:
         segs.append(ProfileSegment(0.0, body_end, tier.resolution_cpd, tier.resolution_cpd))
+    else:  # a body too short to keep leaves the ramp starting on the axis
+        body_end = 0.0
     if tier.blend_width_deg > _KNOT_EPS:
-        segs.append(
-            ProfileSegment(max(body_end, 0.0), tier.half_fov_deg, tier.resolution_cpd, floor_cpd)
-        )
+        segs.append(ProfileSegment(body_end, tier.half_fov_deg, tier.resolution_cpd, floor_cpd))
     return segs
 
 

@@ -1,10 +1,19 @@
 """Quadrature over resolution curves and pixel-provisioning metrics.
 
-Integrals use the composite trapezoid rule with any breakpoints of the
-integrand inserted as panel boundaries, so piecewise-linear profiles
-integrate exactly.  The fixed panel width of 0.0025 degrees keeps even
-short intervals hugging a falloff kink (where curvature peaks) inside 1e-6
-relative error against the closed forms.
+Every integral uses one rule: 10-point Gauss–Legendre on panels at most
+``QUADRATURE_PANEL_DEG`` (0.5 degrees) wide, with a panel boundary at every
+cut.  The cuts are the integrand's breakpoints (profile knots, the acuity
+plateau end and the acuity model's graded cuts toward its tail's pole) and,
+for the provisioning metrics, the eccentricities where the profile crosses
+the acuity model.  Between cuts the integrands are lines or a smooth acuity
+tail minus a line, which the rule integrates exact to rounding.  Gauss nodes
+lie inside their panel, so a profile that jumps at a knot is integrated with
+the correct one-sided values.
+
+Curves that do not report their kinks get them found: where the sign of
+``rdf - adf`` changes between two neighbouring nodes of one cut interval,
+the change is bisected, every bracket at once, and the sample is taken
+again with the roots as cuts.
 
 The provisioning metrics compare a display profile against an acuity model
 over a 1D eccentricity slice: *deficit* is the integral of the shortfall
@@ -20,15 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acuity import QUADRATURE_PANEL_DEG
 from .display import ProfileSegment, ResolutionProfile
 
-DEFAULT_QUADRATURE_STEP_DEG = 0.0025
-# Most nodes one quadrature may use: a range of 2,500 degrees.
+# Most Gauss nodes one quadrature may use, counted at 10 per 0.5 degree
+# panel before cuts: a range of 50,000 degrees.
 MAX_QUADRATURE_NODES = 1_000_000
 # Most candidate widths one optimal_blend_width call may integrate.
 MAX_BLEND_CANDIDATES = 10_000
 
-_EPS = 1e-12
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
+_HALF_WEIGHTS = 0.5 * _GAUSS_W
 
 
 class EfficiencyUndefinedError(ValueError):
@@ -47,38 +58,27 @@ def _eval_curve(curve, xs: np.ndarray) -> np.ndarray:
     return np.array([float(curve(x)) for x in xs])
 
 
-# Profiles are left-continuous at their knots, so the first node of each
-# panel is evaluated a hair inside the panel: step discontinuities then
-# integrate with the correct one-sided limits (the duplicated boundary node
-# carries zero trapezoid weight).
-_JUMP_NUDGE = 1e-9
+def _nodes(a: float, b: float, cuts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss nodes over [a, b], the width of each panel and the cut interval of each node."""
+    edges = np.unique(np.concatenate(([a, b], np.asarray(cuts, dtype=float))))
+    edges = edges[(a <= edges) & (edges <= b)]
+    width = np.diff(edges)
+    n = np.ceil(width / QUADRATURE_PANEL_DEG).astype(int)
+    interval = np.repeat(np.arange(len(n)), n)
+    k = np.arange(len(interval)) - np.repeat(np.cumsum(n) - n, n)
+    panels = np.append(edges[interval] + k * (width / n)[interval], b)
+    widths = np.diff(panels)
+    xs = (panels[:-1, None] + 0.5 * widths[:, None] * (1.0 + _GAUSS_X)).ravel()
+    return xs, widths, np.repeat(interval, len(_GAUSS_X))
 
 
-def _nodes(a: float, b: float, breakpoints) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes over [a, b]: (weight positions, evaluation positions)."""
-    pts = [a]
-    for p in sorted(set(breakpoints)):
-        if a + _EPS < p < b - _EPS:
-            pts.append(p)
-    pts.append(b)
-    weight_chunks, eval_chunks = [], []
-    for x0, x1 in zip(pts, pts[1:]):
-        if x1 - x0 <= _EPS:
-            continue
-        n = max(1, math.ceil((x1 - x0) / DEFAULT_QUADRATURE_STEP_DEG - 1e-9))
-        seg = np.linspace(x0, x1, n + 1)
-        seg_eval = seg.copy()
-        seg_eval[0] = x0 + min(_JUMP_NUDGE, (x1 - x0) / 2)
-        weight_chunks.append(seg)
-        eval_chunks.append(seg_eval)
-    if not weight_chunks:  # range narrower than the degeneracy epsilon
-        ab = np.array([a, b])
-        return ab, ab
-    return np.concatenate(weight_chunks), np.concatenate(eval_chunks)
+def _quadrature(widths: np.ndarray, values: np.ndarray) -> float:
+    """Sum of the panels' Gauss sums, each scaled by its width last.
 
-
-def _trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
-    return float(np.dot(ys[1:] + ys[:-1], np.diff(xs)) * 0.5)
+    Scaling last keeps a panel of subnormal width from having its weights
+    rounded to 0 before its values are summed.
+    """
+    return float(widths @ (values.reshape(-1, len(_GAUSS_W)) @ _HALF_WEIGHTS))
 
 
 def _check_range(a: float, b: float) -> tuple[float, float]:
@@ -87,7 +87,7 @@ def _check_range(a: float, b: float) -> tuple[float, float]:
         raise ValueError(f"integration range must be finite, got [{a!r}, {b!r}]")
     if a > b:
         raise ValueError(f"integration range is reversed: [{a!r}, {b!r}]")
-    if (b - a) / DEFAULT_QUADRATURE_STEP_DEG > MAX_QUADRATURE_NODES:
+    if (b - a) / QUADRATURE_PANEL_DEG * len(_GAUSS_X) > MAX_QUADRATURE_NODES:
         raise ValueError(f"integration range [{a!r}, {b!r}] needs over {MAX_QUADRATURE_NODES:,} nodes")
     return a, b
 
@@ -97,21 +97,45 @@ def integrate(curve, a: float, b: float) -> float:
     a, b = _check_range(a, b)
     if a == b:
         return 0.0
-    xs_w, xs_e = _nodes(a, b, _breakpoints_of(curve))
-    return _trapezoid(xs_w, _eval_curve(curve, xs_e))
+    xs, widths, _ = _nodes(a, b, _breakpoints_of(curve))
+    return _quadrature(widths, _eval_curve(curve, xs))
+
+
+def _bisect(rdf, adf, lo: np.ndarray, hi: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """Where ``sign(rdf - adf)`` leaves ``side``, its sign at ``lo``, before ``hi``; all at once."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = (lo < mid) & (mid < hi)
+        if not active.any():
+            return mid
+        same = np.sign(_eval_curve(rdf, mid) - _eval_curve(adf, mid)) == side
+        lo = np.where(active & same, mid, lo)
+        hi = np.where(active & ~same, mid, hi)
 
 
 def _sample(rdf, adf, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weight positions and both curves' values on shared nodes; one node if a == b."""
+    """Panel widths and both curves' values on shared nodes; no node if a == b."""
     a, b = _check_range(a, b)
     if a == b:
-        return np.array([a]), np.zeros(1), np.zeros(1)
-    xs_w, xs_e = _nodes(a, b, _breakpoints_of(rdf) + _breakpoints_of(adf))
-    return xs_w, _eval_curve(rdf, xs_e), _eval_curve(adf, xs_e)
+        return np.zeros(0), np.zeros(0), np.zeros(0)
+    cuts = np.asarray(_breakpoints_of(rdf) + _breakpoints_of(adf), dtype=float)
+    crossings = getattr(adf, "crossings", None)
+    if isinstance(rdf, ResolutionProfile) and callable(crossings):
+        cuts = np.concatenate((cuts, crossings(*rdf._arrays[:4])))
+    xs, widths, interval = _nodes(a, b, cuts)
+    rdf_vals, adf_vals = _eval_curve(rdf, xs), _eval_curve(adf, xs)
+    # A sign change inside a cut interval is a kink no curve reported.
+    side = np.sign(rdf_vals - adf_vals)
+    kinked = np.flatnonzero((side[1:] != side[:-1]) & (interval[1:] == interval[:-1]))
+    if len(kinked):
+        roots = _bisect(rdf, adf, xs[kinked], xs[kinked + 1], side[kinked])
+        xs, widths, _ = _nodes(a, b, np.concatenate((cuts, roots)))
+        rdf_vals, adf_vals = _eval_curve(rdf, xs), _eval_curve(adf, xs)
+    return widths, rdf_vals, adf_vals
 
 
-def _excess(xs, over, under) -> float:
-    return _trapezoid(xs, np.maximum(over - under, 0.0))
+def _excess(widths, over, under) -> float:
+    return _quadrature(widths, np.maximum(over - under, 0.0))
 
 
 def _efficiency(waste: float, count: float, a: float, b: float) -> float:
@@ -122,20 +146,20 @@ def _efficiency(waste: float, count: float, a: float, b: float) -> float:
 
 def pixel_deficit(rdf, adf, a: float, b: float) -> float:
     """Cycles by which the display falls short of the acuity target on [a, b]."""
-    xs, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
-    return _excess(xs, adf_vals, rdf_vals)
+    widths, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
+    return _excess(widths, adf_vals, rdf_vals)
 
 
 def pixel_waste(rdf, adf, a: float, b: float) -> float:
     """Cycles the display provides beyond the acuity target on [a, b]."""
-    xs, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
-    return _excess(xs, rdf_vals, adf_vals)
+    widths, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
+    return _excess(widths, rdf_vals, adf_vals)
 
 
 def rdf_efficiency(rdf, adf, a: float, b: float) -> float:
     """Fraction of the display's cycles that are not wasted: 1 - waste/count."""
-    xs, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
-    waste, count = _excess(xs, rdf_vals, adf_vals), _trapezoid(xs, rdf_vals)
+    widths, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
+    waste, count = _excess(widths, rdf_vals, adf_vals), _quadrature(widths, rdf_vals)
     return _efficiency(waste, count, float(a), float(b))
 
 
@@ -175,11 +199,11 @@ def metrics_report(
             raise ValueError("eval_range is required for curves without an extent")
         eval_range = (0.0, float(extent))
     a, b = _check_range(*eval_range)
-    xs, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
-    waste, cycle_count = _excess(xs, rdf_vals, adf_vals), _trapezoid(xs, rdf_vals)
+    widths, rdf_vals, adf_vals = _sample(rdf, adf, a, b)
+    waste, cycle_count = _excess(widths, rdf_vals, adf_vals), _quadrature(widths, rdf_vals)
     edge = getattr(rdf, "extent_deg", b)
     return MetricsReport(
-        deficit=_excess(xs, adf_vals, rdf_vals),
+        deficit=_excess(widths, adf_vals, rdf_vals),
         waste=waste,
         efficiency=_efficiency(waste, cycle_count, a, b),
         cycle_count=cycle_count,

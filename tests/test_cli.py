@@ -5,6 +5,7 @@ from fovkit import (
     Tier,
     build_rdf,
     bundled_spec_names,
+    cpd_to_dpi,
     integrate,
     load_bundled_spec,
     make_adf,
@@ -40,6 +41,14 @@ class TestConvert:
         assert code == 0
         assert "30.0 cpd" in out
         assert "143.2 dpi" in out
+
+    @pytest.mark.parametrize("distance", ["24", "1e308"])
+    def test_printed_dpi_reads_back_as_the_result(self, capsys, distance):
+        # 1e308 in gives about 3.4e-305 dpi, which used to print as "0.0 dpi".
+        code, out, _ = run_cli(capsys, "convert", "--snellen", "20/20", "--distance-in", distance)
+        assert code == 0
+        printed = float(out.splitlines()[1].removesuffix(" dpi"))
+        assert printed == pytest.approx(cpd_to_dpi(30.0, float(distance)), rel=0.01)
 
     def test_malformed_fraction_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:

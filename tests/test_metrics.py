@@ -1,14 +1,23 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fovkit import (
+    ADF_KINDS,
+    CONSTANT_FOVEA,
+    SLOPE,
     AcuityModel,
     DisplaySpec,
     EfficiencyUndefinedError,
+    ProfileSegment,
+    ResolutionProfile,
     Tier,
     build_rdf,
+    bundled_spec_names,
     integrate,
     load_bundled_spec,
     make_adf,
@@ -18,8 +27,15 @@ from fovkit import (
     pixel_waste,
     rdf_efficiency,
 )
-from fovkit.metrics import DEFAULT_QUADRATURE_STEP_DEG, MAX_BLEND_CANDIDATES, MAX_QUADRATURE_NODES
-from support import ClampedMaxCurve, constant_fovea_integral, slope_model_integral
+from fovkit.acuity import QUADRATURE_PANEL_DEG
+from fovkit.metrics import MAX_BLEND_CANDIDATES, MAX_QUADRATURE_NODES
+from support import (
+    ClampedMaxCurve,
+    constant_fovea_integral,
+    finite,
+    slope_model_integral,
+    snellen_fractions,
+)
 
 ADF = make_adf("constant-fovea", "20/20")
 UNIFORM_RDF = build_rdf(load_bundled_spec("uniform_30cpd_80deg"))
@@ -55,6 +71,37 @@ class TestIntegrate:
         m = make_adf("constant-fovea", "20/20", foveation_error_deg=4.0)
         expected = constant_fovea_integral(30.0, 75.0, 2.0, 0.0, 60.0, error=4.0)
         assert integrate(m, 0.0, 60.0) == pytest.approx(expected, rel=1e-6)
+
+
+# The oracle's log difference cancels on short intervals deep in the tail,
+# so the bound is looser than the rule's own error (a few ulps).
+@given(
+    st.one_of(
+        st.tuples(st.just(CONSTANT_FOVEA), st.floats(0.2, 75.0, **finite)),
+        st.tuples(st.just(SLOPE), st.floats(0.3, 30.0, **finite)),
+    ),
+    snellen_fractions(),
+    st.floats(0.0, 3.0, **finite),
+    st.floats(0.0, 60.0, **finite),
+    st.floats(0.0, 60.0, **finite),
+)
+@settings(max_examples=300, deadline=None)
+def test_integrate_matches_the_closed_forms(model, fraction, error, x1, x2):
+    kind, rolloff = model
+    a, b = sorted((x1, x2))
+    adf = make_adf(kind, fraction, slope=rolloff, foveation_error_deg=error)
+    oracle = constant_fovea_integral if kind == CONSTANT_FOVEA else slope_model_integral
+    expected = oracle(adf.foveal_cpd, rolloff, adf.fovea_deg, a, b, error=error)
+    assert integrate(adf, a, b) == pytest.approx(expected, rel=1e-10)
+
+
+def test_steep_rolloffs_get_graded_cuts_toward_the_pole():
+    # c = 0.2 / 60 deg: each panel is at least its own width from the pole at p - c.
+    cuts = make_adf(CONSTANT_FOVEA, "20/10", slope=0.2).breakpoints()
+    c = 0.2 / 60.0
+    assert cuts == pytest.approx([2.0 + c * (2**j - 1) for j in range(9)], rel=1e-15)
+    assert make_adf(CONSTANT_FOVEA, "20/20").breakpoints() == (2.0,)
+    assert make_adf(SLOPE, "20/10", foveation_error_deg=1.0).breakpoints() == (3.0,)
 
 
 class TestDeficitWaste:
@@ -94,6 +141,15 @@ class TestDeficitWaste:
         assert pixel_deficit(raised, ADF, 0.0, 50.0) == 0.0
         assert pixel_waste(raised, ADF, 0.0, 50.0) == pytest.approx(
             pixel_waste(rdf, ADF, 0.0, 50.0), rel=1e-12
+        )
+
+    def test_a_kink_no_curve_reports_is_found(self):
+        # The line crosses the falloff near 38 deg; the plain callable reports
+        # neither its knots nor that crossing.
+        line = ResolutionProfile((ProfileSegment(0.0, 40.0, 40.0, 0.0),))
+        raised = lambda e: max(line.eval(e), ADF.eval(e))  # noqa: E731
+        assert pixel_waste(raised, ADF, 0.0, 40.0) == pytest.approx(
+            pixel_waste(line, ADF, 0.0, 40.0), rel=1e-9
         )
 
 
@@ -160,6 +216,32 @@ def test_report_is_one_sample_of_the_standalone_metrics(name, adf):
     assert rep.peripheral_deficit == pixel_deficit(rdf, adf, min(10.0, edge), edge)
 
 
+@pytest.mark.parametrize("name", bundled_spec_names())
+def test_profile_and_model_are_each_evaluated_once_per_sample(name, monkeypatch):
+    """The crossings are cuts, so no profile x model sample needs a second pass."""
+    calls = Counter()
+    for cls in (ResolutionProfile, AcuityModel):
+        def counted(self, xs, _cls=cls, _original=cls.eval_many):
+            calls[_cls.__name__] += 1
+            return _original(self, xs)
+
+        monkeypatch.setattr(cls, "eval_many", counted)
+    rdf = build_rdf(load_bundled_spec(name))
+    edge = rdf.extent_deg
+    # The report samples its range once, then each non-empty region once.
+    samples = {pixel_deficit: 1, pixel_waste: 1, metrics_report: 2 + (edge > 10.0)}
+    for kind in ADF_KINDS:
+        for acuity in ("20/10", "20/15", "20/20", "20/30", "20/40", "20/80", "20/200"):
+            adf = make_adf(kind, acuity)
+            for metric, n in samples.items():
+                calls.clear()
+                if metric is metrics_report:
+                    metric(rdf, adf)
+                else:
+                    metric(rdf, adf, 0.0, edge)
+                assert calls == {"ResolutionProfile": n, "AcuityModel": n}, (metric, kind, acuity)
+
+
 class TestRangeValidation:
     @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
     def test_non_finite_range_rejected(self, bounds):
@@ -176,7 +258,8 @@ class TestRangeValidation:
         def unevaluable(x):
             raise LookupError("passed validation")
 
-        widest = MAX_QUADRATURE_NODES * DEFAULT_QUADRATURE_STEP_DEG
+        # Ten Gauss nodes per panel.
+        widest = MAX_QUADRATURE_NODES / 10 * QUADRATURE_PANEL_DEG
         with pytest.raises(LookupError, match="passed validation"):
             integrate(unevaluable, 0.0, widest)
         with pytest.raises(ValueError, match="needs over 1,000,000 nodes"):

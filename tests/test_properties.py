@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fovkit import display
@@ -22,6 +22,7 @@ from fovkit import (
     AcuityRangeWarning,
     ClassifierConfig,
     DisplaySpec,
+    Tier,
     build_rdf,
     classify,
     cpd_to_dpi,
@@ -275,6 +276,8 @@ def _definition(pieces, offsets, xs):
 
 
 @given(display_specs(), st.floats(0.0, 25.0, **finite))
+# A blend as wide as its tier up to an ulp: the ramp must start on the axis.
+@example(DisplaySpec("_", (Tier(14.0, 13.2341571735314, False, 0.0, 13.234157173531399),)), 0.0)
 @settings(max_examples=150, deadline=None)
 def test_perceived_profile_matches_its_definition(spec, gaze):
     profile = perceived_profile(spec, gaze)
