@@ -212,23 +212,32 @@ class AcuityModel:
         tail, written ``k / (e - plateau_end + c)``, a quadratic one.
         """
         lines = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (start, end, v0, v1)))
-        start, end, v0, v1 = (x.ravel() for x in lines)
-        keep = end > start
-        start, end, v0, v1 = start[keep], end[keep], v0[keep], v1[keep]
-        slope = (v1 - v0) / (end - start)
+        return np.sort(self._line_crossings(*(x.ravel() for x in lines))[0])
+
+    def _line_crossings(self, start, end, v0, v1) -> tuple[np.ndarray, np.ndarray]:
+        """The crossings of :meth:`crossings`, unsorted, and the index of each one's line.
+
+        The four arguments are 1-D float arrays of one length.
+        """
         p = self.plateau_end_deg
         k, c = self._tail
+        roots = np.empty((3, len(start)))
+        found = np.empty(roots.shape, dtype=bool)
         with np.errstate(all="ignore"):  # no root gives inf or nan, filtered below
-            plateau = start + (self.foveal_cpd - v0) / slope
+            slope = (v1 - v0) / (end - start)
+            roots[0] = start + (self.foveal_cpd - v0) / slope
             # With x = e - p + c the line is a + slope * x, so a crossing
             # solves slope * x**2 + a * x - k = 0; the roots are taken in
             # the form that does not cancel (with slope 0 only -k / q is a root).
             a = v0 + slope * (p - c - start)
             q = -0.5 * (a + np.copysign(np.sqrt(a * a + 4.0 * slope * k), a))
-            tail = np.concatenate((q / slope, -k / q)) + (p - c)
-        on_tail = (np.maximum(np.tile(start, 2), p) <= tail) & (tail <= np.tile(end, 2))
-        on_plateau = (start <= plateau) & (plateau <= np.minimum(end, p))
-        return np.sort(np.concatenate((plateau[on_plateau], tail[on_tail])))
+            roots[1] = q / slope
+            roots[2] = -k / q
+            roots[1:] += p - c
+            found[0] = (start <= roots[0]) & (roots[0] <= np.minimum(end, p))
+            found[1:] = (np.maximum(start, p) <= roots[1:]) & (roots[1:] <= end)
+        found &= end > start
+        return roots[found], np.nonzero(found)[1]
 
     def breakpoints(self) -> tuple[float, ...]:
         """Quadrature panel boundaries: the plateau end, then graded cuts.

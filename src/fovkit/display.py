@@ -207,9 +207,7 @@ class ResolutionProfile:
 
     @cached_property
     def _arrays(self):
-        starts, ends, v0, v1 = np.array(self.segments, dtype=float).reshape(-1, 4).T.copy()
-        spans = np.where(ends > starts, ends - starts, 1.0)
-        return starts, ends, v0, v1, spans
+        return _segment_arrays(self.segments)
 
     def eval(self, eccentricity_deg: float) -> float:
         """Resolution presented at one eccentricity; 0 beyond the display edge."""
@@ -219,21 +217,55 @@ class ResolutionProfile:
         e = np.asarray(eccentricities_deg, dtype=float)
         if np.any(e < 0):
             raise ValueError("eccentricities must be >= 0")
-        out = np.zeros_like(e)
-        if not self.segments:
-            return out
-        starts, ends, v0, v1, spans = self._arrays
-        idx = np.searchsorted(ends, e, side="left")
-        inside = idx < len(ends)
-        i = idx[inside]
-        t = np.clip((e[inside] - starts[i]) / spans[i], 0.0, 1.0)
-        out[inside] = v0[i] + t * (v1[i] - v0[i])
-        return out
+        arrays = self._arrays
+        return _interpolate(arrays, np.searchsorted(arrays[1], e, side="left"), e)
 
     def breakpoints(self) -> tuple[float, ...]:
         if not self.segments:
             return ()
         return tuple(s.start for s in self.segments) + (self.segments[-1].end,)
+
+
+def _segment_arrays(segments) -> tuple[np.ndarray, ...]:
+    """Starts, ends, start values, end values and spans (1 where a segment has no length)."""
+    starts, ends, v0, v1 = np.array(segments, dtype=float).reshape(-1, 4).T.copy()
+    return starts, ends, v0, v1, np.where(ends > starts, ends - starts, 1.0)
+
+
+def _interpolate(arrays, idx: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Each ``e`` on its segment ``idx`` of ``arrays``; 0 where ``idx`` is past the last."""
+    starts, ends, v0, v1, spans = arrays
+    out = np.zeros_like(e)
+    inside = idx < len(ends)
+    i = idx[inside]
+    t = np.clip((e[inside] - starts[i]) / spans[i], 0.0, 1.0)
+    out[inside] = v0[i] + t * (v1[i] - v0[i])
+    return out
+
+
+def _eval_profiles(arrays, counts, xs: np.ndarray, bounds) -> np.ndarray:
+    """Many profiles, each on its own stretch of ``xs``, in one interpolation.
+
+    ``arrays`` are the :func:`_segment_arrays` of every profile's segments,
+    profile after profile, ``counts[j]`` of them for profile ``j``, which is
+    evaluated at ``xs[bounds[j]:bounds[j + 1]]``.  Each value equals the one
+    the profile's own :meth:`ResolutionProfile.eval_many` gives.
+    """
+    if np.any(xs < 0):
+        raise ValueError("eccentricities must be >= 0")
+    ends = arrays[1]
+    idx = np.empty(len(xs), dtype=np.intp)
+    first = 0
+    for n, lo, hi in zip(counts, bounds, bounds[1:]):
+        last = first + n
+        i = np.searchsorted(ends[first:last], xs[lo:hi], side="left")
+        if first:
+            i += first
+        if last < len(ends):
+            i[i == last] = len(ends)  # past this profile's edge
+        idx[lo:hi] = i
+        first = last
+    return _interpolate(arrays, idx, xs)
 
 
 def _tier_segments(tier: Tier, floor_cpd: float) -> list[ProfileSegment]:

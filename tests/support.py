@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from fovkit import (
     DisplaySpec,
     OffAxisDegradation,
+    ProfileSegment,
+    ResolutionProfile,
     SnellenFraction,
     Tier,
     display,
     perceived_profile,
+    pixel_deficit,
 )
 
 
@@ -74,6 +77,33 @@ class ClampedMaxCurve:
 
     def breakpoints(self):
         return tuple(self.rdf.breakpoints()) + tuple(self.adf.breakpoints())
+
+
+def candidate_blend_width(hi, lo, adf, scan_step=0.1):
+    """Best blend width by its definition: one standalone deficit per candidate.
+
+    Candidate i has width i * scan_step, for i = 0 .. floor(cap / scan_step)
+    with cap = min(hi.half_fov_deg, lo.half_fov_deg - hi.half_fov_deg); its
+    profile holds the high tier to its edge, ramps down to the low tier over
+    the band and then holds the low tier.  The first candidate with the least
+    deficit over [0, lo.half_fov_deg] wins.
+    """
+    (e0, v0), (e1, v1) = (hi.half_fov_deg, hi.resolution_cpd), (lo.half_fov_deg, lo.resolution_cpd)
+    if v0 == v1:
+        return 0.0
+    n = math.floor(min(e0, e1 - e0) / scan_step + 1e-9)
+    best_width, best_deficit = 0.0, math.inf
+    for i in range(n + 1):
+        width = i * scan_step
+        segs = [ProfileSegment(0.0, e0, v0, v0)]
+        if width > 0:
+            segs.append(ProfileSegment(e0, e0 + width, v0, v1))
+        if e0 + width < e1:
+            segs.append(ProfileSegment(e0 + width, e1, v1, v1))
+        deficit = pixel_deficit(ResolutionProfile(tuple(segs)), adf, 0.0, e1)
+        if deficit < best_deficit:
+            best_width, best_deficit = width, deficit
+    return best_width
 
 
 def grid_invariance_range(spec, adf, cfg, pitch=0.002):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from fovkit import (
     EfficiencyUndefinedError,
     ProfileSegment,
     ResolutionProfile,
+    SnellenFraction,
     Tier,
     build_rdf,
     bundled_spec_names,
@@ -27,11 +29,14 @@ from fovkit import (
     pixel_waste,
     rdf_efficiency,
 )
+from fovkit import metrics
 from fovkit.acuity import QUADRATURE_PANEL_DEG
 from fovkit.metrics import MAX_BLEND_CANDIDATES, MAX_QUADRATURE_NODES
 from support import (
     ClampedMaxCurve,
+    candidate_blend_width,
     constant_fovea_integral,
+    display_specs,
     finite,
     slope_model_integral,
     snellen_fractions,
@@ -216,30 +221,146 @@ def test_report_is_one_sample_of_the_standalone_metrics(name, adf):
     assert rep.peripheral_deficit == pixel_deficit(rdf, adf, min(10.0, edge), edge)
 
 
+def _count_evaluations(monkeypatch) -> Counter:
+    """Count the calls that evaluate profiles, one at a time or stacked, and models."""
+    calls = Counter()
+
+    def counting(key, original):
+        def counted(*args):
+            calls[key] += 1
+            return original(*args)
+
+        return counted
+
+    monkeypatch.setattr(
+        ResolutionProfile, "eval_many", counting("ResolutionProfile", ResolutionProfile.eval_many)
+    )
+    monkeypatch.setattr(
+        metrics, "_eval_profiles", counting("ResolutionProfile", metrics._eval_profiles)
+    )
+    monkeypatch.setattr(AcuityModel, "eval_many", counting("AcuityModel", AcuityModel.eval_many))
+    monkeypatch.setattr(metrics._Pass, "sample", counting("pass", metrics._Pass.sample))
+    return calls
+
+
 @pytest.mark.parametrize("name", bundled_spec_names())
 def test_profile_and_model_are_each_evaluated_once_per_sample(name, monkeypatch):
-    """The crossings are cuts, so no profile x model sample needs a second pass."""
-    calls = Counter()
-    for cls in (ResolutionProfile, AcuityModel):
-        def counted(self, xs, _cls=cls, _original=cls.eval_many):
-            calls[_cls.__name__] += 1
-            return _original(self, xs)
+    """The crossings are cuts, so no profile x model sample needs a second pass.
 
-        monkeypatch.setattr(cls, "eval_many", counted)
+    The report samples its range and both regions in that one pass.
+    """
+    calls = _count_evaluations(monkeypatch)
     rdf = build_rdf(load_bundled_spec(name))
     edge = rdf.extent_deg
-    # The report samples its range once, then each non-empty region once.
-    samples = {pixel_deficit: 1, pixel_waste: 1, metrics_report: 2 + (edge > 10.0)}
     for kind in ADF_KINDS:
         for acuity in ("20/10", "20/15", "20/20", "20/30", "20/40", "20/80", "20/200"):
             adf = make_adf(kind, acuity)
-            for metric, n in samples.items():
+            for metric in (pixel_deficit, pixel_waste, metrics_report):
                 calls.clear()
                 if metric is metrics_report:
                     metric(rdf, adf)
                 else:
                     metric(rdf, adf, 0.0, edge)
-                assert calls == {"ResolutionProfile": n, "AcuityModel": n}, (metric, kind, acuity)
+                assert calls == {"ResolutionProfile": 1, "AcuityModel": 1, "pass": 1}, (
+                    metric, kind, acuity
+                )
+
+
+@pytest.mark.parametrize("kind", ADF_KINDS)
+def test_blend_candidates_share_one_evaluation_per_pass(kind, monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    hi = Tier(resolution_cpd=30.0, half_fov_deg=8.0)
+    lo = Tier(resolution_cpd=7.2, half_fov_deg=50.0)
+    optimal_blend_width(hi, lo, make_adf(kind, "20/20"))  # 81 candidate widths
+    assert calls["AcuityModel"] == calls["ResolutionProfile"] == calls["pass"]
+    assert calls["pass"] < 81 / 4
+
+
+# Ranges start anywhere up to 80 deg, past every extent drawn, and may be empty.
+_ranges = st.tuples(st.floats(0.0, 80.0, **finite), st.one_of(st.just(0.0), st.floats(0.0, 40.0)))
+
+
+@given(
+    st.lists(display_specs(), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), _ranges), min_size=1, max_size=12),
+    st.sampled_from(ADF_KINDS),
+    snellen_fractions(),
+    st.floats(0.0, 3.0, **finite),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_batched_sample_is_each_job_sampled_alone(specs, picks, kind, fraction, error, raised):
+    """Every job of a batch gets the bits of a one-job deficit and waste.
+
+    With ``raised`` the curves are generic, so any kink is bisected.
+    """
+    adf = make_adf(kind, fraction, foveation_error_deg=error)
+    curves = [build_rdf(spec) for spec in specs]
+    if raised:
+        curves = [ClampedMaxCurve(rdf, adf) for rdf in curves]
+    jobs = [(curves[i % len(curves)], a, a + length) for i, (a, length) in picks]
+    for (rdf, a, b), (widths, rdf_vals, adf_vals) in zip(jobs, metrics._sample(adf, jobs)):
+        deficit = metrics._excess(widths, adf_vals, rdf_vals)
+        waste = metrics._excess(widths, rdf_vals, adf_vals)
+        assert deficit.hex() == pixel_deficit(rdf, adf, a, b).hex()
+        assert waste.hex() == pixel_waste(rdf, adf, a, b).hex()
+
+
+def test_kinks_bisected_in_several_jobs_of_one_batch(monkeypatch):
+    rooted = []
+    kinks = metrics._Pass.kinks
+
+    def spy(self, nodes, side):
+        roots, job = kinks(self, nodes, side)
+        rooted.append(len(set(job.tolist())))
+        return roots, job
+
+    monkeypatch.setattr(metrics._Pass, "kinks", spy)
+    adf = make_adf(CONSTANT_FOVEA, "20/40")
+    jobs = [
+        (ClampedMaxCurve(build_rdf(load_bundled_spec(name)), adf), a, b)
+        for name in ("vive", "vive_pro", "kim")
+        for a, b in ((0.0, 50.0), (1.0, 30.0))
+    ]
+    batched = [metrics._excess(w, r, v).hex() for w, r, v in metrics._sample(adf, jobs)]
+    assert max(rooted) >= 2
+    assert batched == [pixel_waste(rdf, adf, a, b).hex() for rdf, a, b in jobs]
+
+
+def test_a_pass_holds_no_more_nodes_than_its_crossings_allow(monkeypatch):
+    # Twenty 0.1 deg segments zig-zag across the 30 cpd plateau, crossing it
+    # once each: 40 panels, 400 nodes a job, where the plan counts 280.
+    zigzag = ResolutionProfile(tuple(
+        ProfileSegment(i / 10, (i + 1) / 10, 35.0 - 10.0 * (i % 2), 25.0 + 10.0 * (i % 2))
+        for i in range(20)
+    ))
+    monkeypatch.setattr(metrics, "_PASS_NODES", 600)
+    passes = []
+    sample = metrics._Pass.sample
+
+    def spy(self):
+        nodes, rdf_vals, adf_vals = sample(self)
+        passes.append(len(nodes.xs))
+        return nodes, rdf_vals, adf_vals
+
+    monkeypatch.setattr(metrics._Pass, "sample", spy)
+    for ranges in ([(0.0, 2.0)] * 2, [(0.0, 2.0), (0.5, 2.0), (0.0, 1.0)]):
+        passes.clear()
+        jobs = [(zigzag, a, b) for a, b in ranges]
+        batched = [metrics._excess(w, r, v).hex() for w, r, v in metrics._sample(ADF, jobs)]
+        assert max(passes) <= 600 and len(passes) > 1
+        assert batched == [pixel_waste(zigzag, ADF, a, b).hex() for a, b in ranges]
+
+
+def test_a_kink_between_a_cut_and_its_nearest_node_is_found():
+    # The ramp meets the 4.545 cpd plateau at 0.99394 deg: after the last
+    # Gauss node of [0, 1], at 0.99348, and before the knot at 1.
+    spec = DisplaySpec("_", (Tier(12.0, 1.0, False, 0.0, 1.0), Tier(4.5, 2.0)))
+    adf = make_adf(CONSTANT_FOVEA, SnellenFraction(20.0, 132.0))
+    rdf = build_rdf(spec)
+    assert pixel_waste(ClampedMaxCurve(rdf, adf), adf, 0.0, 2.0) == pytest.approx(
+        pixel_waste(rdf, adf, 0.0, 2.0), rel=1e-12
+    )
 
 
 class TestRangeValidation:
@@ -336,6 +457,55 @@ class TestOptimalBlendWidth:
         for step in (8.0 / MAX_BLEND_CANDIDATES, 1e-320):
             with pytest.raises(ValueError, match="over 10,000 candidate widths"):
                 optimal_blend_width(hi, lo, self.Unevaluable(), scan_step=step)
+
+
+@pytest.mark.parametrize("name", ["varjo_vr1", "kim"])
+@pytest.mark.parametrize("kind", ADF_KINDS)
+@pytest.mark.parametrize("error", [0.0, 1.5])
+def test_blend_width_equals_the_per_candidate_oracle_on_bundled_tiers(name, kind, error):
+    hi, lo = load_bundled_spec(name).tiers[:2]
+    for acuity in ("20/10", "20/20", "20/40", "20/200"):
+        adf = make_adf(kind, acuity, foveation_error_deg=error)
+        assert optimal_blend_width(hi, lo, adf) == candidate_blend_width(hi, lo, adf)
+
+
+@given(
+    st.floats(12.0, 40.0, **finite),
+    st.floats(4.0, 20.0, **finite),
+    st.floats(4.0, 12.0, **finite),
+    st.floats(10.0, 60.0, **finite),
+    st.integers(15, 75),
+    st.sampled_from(ADF_KINDS),
+    snellen_fractions(),
+    st.floats(0.0, 3.0, **finite),
+)
+@settings(max_examples=40, deadline=None)
+def test_blend_width_equals_the_per_candidate_oracle(
+    inset_cpd, inset_deg, surround_cpd, extra_deg, candidates, kind, fraction, error
+):
+    hi = Tier(resolution_cpd=inset_cpd, half_fov_deg=inset_deg)
+    lo = Tier(resolution_cpd=surround_cpd, half_fov_deg=inset_deg + extra_deg)
+    step = min(inset_deg, extra_deg) / candidates
+    adf = make_adf(kind, fraction, foveation_error_deg=error)
+    expected = candidate_blend_width(hi, lo, adf, step)
+    assert optimal_blend_width(hi, lo, adf, scan_step=step) == expected
+
+
+def test_a_sweep_at_the_candidate_cap_holds_one_pass_of_nodes_at_a_time():
+    hi = Tier(resolution_cpd=30.0, half_fov_deg=8.0)
+    lo = Tier(resolution_cpd=7.2, half_fov_deg=50.0)
+    optimal_blend_width(hi, lo, ADF)  # first-call allocations are not the sweep's
+    tracemalloc.start()
+    try:
+        width = optimal_blend_width(hi, lo, ADF, scan_step=8.0 / (MAX_BLEND_CANDIDATES - 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert width == pytest.approx(1.9167, abs=1e-3)
+    # The 10,000 candidates have about 10 M nodes, 80 MB per float array of
+    # them.  A pass holds at most _PASS_NODES, and at its peak about ten
+    # arrays of that length (nodes, values, intervals, temporaries).
+    assert peak < 16 * np.dtype(float).itemsize * metrics._PASS_NODES
 
 
 def test_quadrature_error_well_under_tolerance_near_the_kink():

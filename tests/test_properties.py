@@ -22,6 +22,7 @@ from fovkit import (
     AcuityRangeWarning,
     ClassifierConfig,
     DisplaySpec,
+    SnellenFraction,
     Tier,
     build_rdf,
     classify,
@@ -155,6 +156,11 @@ def test_classify_is_total_on_random_specs(spec, fraction):
 
 
 @given(display_specs(), snellen_fractions())
+# The raised ramp's kink lies between the last Gauss node of [0, 1] and the knot at 1.
+@example(
+    DisplaySpec("_", (Tier(12.0, 1.0, False, 0.0, 1.0), Tier(4.5, 2.0))),
+    SnellenFraction(20.0, 132.0),
+)
 @settings(max_examples=100, deadline=None)
 def test_raising_the_profile_to_the_target_splits_cleanly(spec, fraction):
     adf = make_adf("constant-fovea", fraction)
